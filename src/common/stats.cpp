@@ -55,20 +55,9 @@ double StreamingStats::cv() const {
 }
 
 SampleStats::SampleStats(std::vector<double> samples)
-    : samples_(std::move(samples)), sorted_(false) {}
+    : samples_(std::move(samples)) {}
 
-void SampleStats::add(double x) {
-  samples_.push_back(x);
-  sorted_ = false;
-}
-
-void SampleStats::ensure_sorted() const {
-  if (!sorted_) {
-    auto& s = const_cast<std::vector<double>&>(samples_);
-    std::sort(s.begin(), s.end());
-    const_cast<bool&>(sorted_) = true;
-  }
-}
+void SampleStats::add(double x) { samples_.push_back(x); }
 
 double SampleStats::mean() const {
   if (samples_.empty()) return 0.0;
@@ -88,12 +77,18 @@ double SampleStats::stddev() const {
 double SampleStats::percentile(double q) const {
   STAC_REQUIRE(q >= 0.0 && q <= 1.0);
   STAC_REQUIRE_MSG(!samples_.empty(), "percentile of empty sample set");
-  ensure_sorted();
-  const double pos = q * static_cast<double>(samples_.size() - 1);
+  // The two order statistics come from a scratch copy: const reads never
+  // reorder samples_, so one result can be shared across threads and mean()
+  // always sums in insertion order.
+  std::vector<double> scratch(samples_);
+  const double pos = q * static_cast<double>(scratch.size() - 1);
   const auto lo = static_cast<std::size_t>(pos);
   const double frac = pos - static_cast<double>(lo);
-  if (lo + 1 >= samples_.size()) return samples_.back();
-  return samples_[lo] * (1.0 - frac) + samples_[lo + 1] * frac;
+  const auto nth = scratch.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(scratch.begin(), nth, scratch.end());
+  if (lo + 1 >= scratch.size()) return *nth;
+  const double next = *std::min_element(nth + 1, scratch.end());
+  return *nth * (1.0 - frac) + next * frac;
 }
 
 double SampleStats::percentile_or(double q, double fallback) const {
@@ -102,14 +97,12 @@ double SampleStats::percentile_or(double q, double fallback) const {
 
 double SampleStats::min() const {
   STAC_REQUIRE(!samples_.empty());
-  ensure_sorted();
-  return samples_.front();
+  return *std::min_element(samples_.begin(), samples_.end());
 }
 
 double SampleStats::max() const {
   STAC_REQUIRE(!samples_.empty());
-  ensure_sorted();
-  return samples_.back();
+  return *std::max_element(samples_.begin(), samples_.end());
 }
 
 Histogram::Histogram(double lo, double hi, std::size_t bins)

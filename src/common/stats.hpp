@@ -43,7 +43,9 @@ class StreamingStats {
 };
 
 /// Retains all samples; exact quantiles via linear interpolation between
-/// order statistics (type-7, same convention as numpy.percentile).
+/// order statistics (type-7, same convention as numpy.percentile).  Every
+/// const member is a pure read, so one instance may be queried from many
+/// threads at once.
 class SampleStats {
  public:
   SampleStats() = default;
@@ -66,13 +68,11 @@ class SampleStats {
   [[nodiscard]] double median() const { return percentile(0.5); }
   [[nodiscard]] double min() const;
   [[nodiscard]] double max() const;
+  /// Samples in insertion order (no accessor ever reorders them).
   [[nodiscard]] std::span<const double> samples() const { return samples_; }
 
  private:
-  void ensure_sorted() const;
-
   std::vector<double> samples_;
-  mutable bool sorted_ = true;
 };
 
 /// Fixed-width histogram over [lo, hi); out-of-range values clamp into the
