@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <cstring>
+#include <span>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/stats.hpp"
@@ -107,55 +109,74 @@ TEST(RandomForest, BootstrapFractionValidated) {
 
 // ---- PR-9: flattened SoA inference + warm-start refit ---------------------
 
+/// Trees fitted directly, without RandomForest, each on its own bootstrap
+/// bag.
+std::vector<DecisionTree> fit_trees(const Dataset& d, std::size_t count,
+                                    SplitMode mode, std::uint64_t seed) {
+  std::vector<DecisionTree> trees;
+  Rng rng(seed);
+  for (std::size_t t = 0; t < count; ++t) {
+    std::vector<std::size_t> bag(d.size());
+    for (auto& r : bag) r = rng.uniform_index(d.size());
+    DecisionTree tree(TreeConfig{.split_mode = mode, .seed = rng.next_u64()});
+    tree.fit(d, bag);
+    trees.push_back(std::move(tree));
+  }
+  return trees;
+}
+
+/// The forest mean as a pointer walk computes it: DecisionTree::predict
+/// summed in tree order, divided by the tree count.
+double tree_order_mean(const std::vector<DecisionTree>& trees,
+                       std::span<const double> x) {
+  double sum = 0.0;
+  for (const DecisionTree& t : trees) sum += t.predict(x);
+  return sum / static_cast<double>(trees.size());
+}
+
+void expect_flat_matches_trees(const std::vector<DecisionTree>& trees,
+                               const Dataset& test) {
+  FlatForest flat;
+  flat.compile(trees);
+  std::vector<double> batch(test.size());
+  flat.predict_batch(test.features(), batch);
+  for (std::size_t i = 0; i < test.size(); ++i) {
+    const double want = tree_order_mean(trees, test.row(i));
+    const double scalar = flat.predict(test.row(i));
+    EXPECT_EQ(std::memcmp(&scalar, &want, sizeof(double)), 0) << "row " << i;
+    EXPECT_EQ(std::memcmp(&batch[i], &want, sizeof(double)), 0)
+        << "row " << i;
+  }
+}
+
 TEST(RandomForest, FlattenedPredictBitIdenticalToPointerWalk) {
+  // A FlatForest compiled from directly fitted trees answers exactly what
+  // averaging DecisionTree::predict in tree order answers, through both the
+  // scalar and the level-major batch walk.
   for (const std::uint64_t seed : {1ull, 9ull, 23ull}) {
     for (const SplitMode mode :
          {SplitMode::kSqrtFeatures, SplitMode::kCompletelyRandom}) {
-      const Dataset train = wavy_dataset(220, seed);
-      ForestConfig cfg{.estimators = 18, .split_mode = mode, .seed = seed};
-      ForestConfig ptr_cfg = cfg;
-      ptr_cfg.flatten = false;
-      RandomForest flat(cfg), pointer(ptr_cfg);
-      flat.fit(train);
-      pointer.fit(train);
-      // OOB estimates (the cascade's concept source) and fresh predictions
-      // must agree bit for bit — the flat walk uses identical comparisons
-      // and identical tree-order accumulation.
-      EXPECT_EQ(flat.oob_predictions(), pointer.oob_predictions());
-      const Dataset test = wavy_dataset(90, seed + 1000);
-      for (std::size_t i = 0; i < test.size(); ++i) {
-        const double a = flat.predict(test.row(i));
-        const double b = pointer.predict(test.row(i));
-        EXPECT_EQ(std::memcmp(&a, &b, sizeof(double)), 0);
-      }
-      // The batch (level-major) walk is the same function.
-      const auto batch = flat.predict(test.features());
-      const auto scalar = pointer.predict(test.features());
-      EXPECT_EQ(batch, scalar);
+      const auto trees = fit_trees(wavy_dataset(220, seed), 18, mode, seed);
+      expect_flat_matches_trees(trees, wavy_dataset(90, seed + 1000));
     }
   }
 }
 
 TEST(RandomForest, FlattenedIdentityHoldsAcrossWarmRefit) {
+  // Refit a scattered subset of the trees on a grown dataset, as
+  // refit_incremental does, and recompile: the identity must hold for the
+  // mixed bank of old and new trees too.
   Dataset data = wavy_dataset(200, 31);
-  ForestConfig cfg{.estimators = 16, .seed = 31};
-  ForestConfig ptr_cfg = cfg;
-  ptr_cfg.flatten = false;
-  RandomForest flat(cfg), pointer(ptr_cfg);
-  flat.fit(data);
-  pointer.fit(data);
+  auto trees = fit_trees(data, 16, SplitMode::kSqrtFeatures, 31);
+  const Dataset test = wavy_dataset(80, 33);
+  expect_flat_matches_trees(trees, test);
   const Dataset extra = wavy_dataset(60, 32);
   for (std::size_t i = 0; i < extra.size(); ++i)
     data.add_row(extra.row(i), extra.target(i));
-  flat.refit_incremental(data);
-  pointer.refit_incremental(data);
-  const Dataset test = wavy_dataset(80, 33);
-  for (std::size_t i = 0; i < test.size(); ++i) {
-    const double a = flat.predict(test.row(i));
-    const double b = pointer.predict(test.row(i));
-    EXPECT_EQ(std::memcmp(&a, &b, sizeof(double)), 0);
-  }
-  EXPECT_EQ(flat.oob_predictions(), pointer.oob_predictions());
+  const auto refitted = fit_trees(data, 4, SplitMode::kSqrtFeatures, 32);
+  for (std::size_t i = 0; i < refitted.size(); ++i)
+    trees[(3 + 5 * i) % trees.size()] = refitted[i];
+  expect_flat_matches_trees(trees, test);
 }
 
 TEST(RandomForest, WarmRefitParityWithColdFit) {
