@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -10,6 +9,7 @@
 
 #include "common/check.hpp"
 #include "common/fault_injection.hpp"
+#include "support/scratch_dir.hpp"
 
 namespace stac::profiler {
 namespace {
@@ -44,13 +44,18 @@ Profile sample_profile(std::uint64_t seed) {
   return p;
 }
 
-const char* kPath = "/tmp/stac_profile_io_test.txt";
+/// Every case writes its own file under a per-test scratch directory.
+class ProfileIo : public ::testing::Test {
+ protected:
+  test_support::ScratchDir dir_;
+  const std::string path_ = dir_.file("profiles.txt");
+};
 
-TEST(ProfileIo, RoundTripIsBitExact) {
+TEST_F(ProfileIo, RoundTripIsBitExact) {
   std::vector<Profile> profiles{sample_profile(1), sample_profile(2),
                                 sample_profile(3)};
-  save_profiles(kPath, profiles);
-  const auto loaded = load_profiles(kPath);
+  save_profiles(path_, profiles);
+  const auto loaded = load_profiles(path_);
   ASSERT_EQ(loaded.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
     const Profile& a = profiles[i];
@@ -77,68 +82,63 @@ TEST(ProfileIo, RoundTripIsBitExact) {
       for (std::size_t col = 0; col < a.image.cols(); ++col)
         EXPECT_DOUBLE_EQ(a.image(r, col), b.image(r, col));
   }
-  std::remove(kPath);
 }
 
-TEST(ProfileIo, EmptySetRoundTrips) {
-  save_profiles(kPath, {});
-  EXPECT_TRUE(load_profiles(kPath).empty());
-  std::remove(kPath);
+TEST_F(ProfileIo, EmptySetRoundTrips) {
+  save_profiles(path_, {});
+  EXPECT_TRUE(load_profiles(path_).empty());
 }
 
-TEST(ProfileIo, RejectsMissingFile) {
-  EXPECT_THROW((void)load_profiles("/tmp/stac_definitely_missing_file.txt"),
+TEST_F(ProfileIo, RejectsMissingFile) {
+  EXPECT_THROW((void)load_profiles(dir_.file("missing.txt")),
                ContractViolation);
 }
 
-TEST(ProfileIo, RejectsWrongMagic) {
+TEST_F(ProfileIo, RejectsWrongMagic) {
   {
-    std::ofstream out(kPath);
+    std::ofstream out(path_);
     out << "not-a-profile v1 0\n";
   }
-  EXPECT_THROW((void)load_profiles(kPath), ContractViolation);
-  std::remove(kPath);
+  EXPECT_THROW((void)load_profiles(path_), ContractViolation);
 }
 
-TEST(ProfileIo, RejectsWrongVersion) {
+TEST_F(ProfileIo, RejectsWrongVersion) {
   {
-    std::ofstream out(kPath);
+    std::ofstream out(path_);
     out << "stac-profiles v999 0\n";
   }
-  EXPECT_THROW((void)load_profiles(kPath), ContractViolation);
-  std::remove(kPath);
+  EXPECT_THROW((void)load_profiles(path_), ContractViolation);
 }
 
-TEST(ProfileIo, SavedFilesCarryPerRecordChecksums) {
-  save_profiles(kPath, {sample_profile(1), sample_profile(2)});
-  std::ifstream in(kPath);
+TEST_F(ProfileIo, SavedFilesCarryPerRecordChecksums) {
+  save_profiles(path_, {sample_profile(1), sample_profile(2)});
+  std::ifstream in(path_);
   std::string line;
   std::size_t checksums = 0;
   while (std::getline(in, line))
     if (line.rfind("checksum ", 0) == 0) ++checksums;
   EXPECT_EQ(checksums, 2u);
-  std::remove(kPath);
 }
 
-TEST(ProfileIo, ResilientLoadQuarantinesCorruptRecord) {
-  save_profiles(kPath, {sample_profile(1), sample_profile(2),
+TEST_F(ProfileIo, ResilientLoadQuarantinesCorruptRecord) {
+  save_profiles(path_, {sample_profile(1), sample_profile(2),
                         sample_profile(3)});
   // Damage the middle record's payload: checksum mismatch, structure kept.
   // v2 layout: header line, then 5 lines per record (meta, statics,
   // dynamics, image, checksum) — line 6 is record 1's meta line.
   std::vector<std::string> lines;
   {
-    std::ifstream in(kPath);
+    std::ifstream in(path_);
     std::string line;
     while (std::getline(in, line)) lines.push_back(line);
   }
   ASSERT_EQ(lines.size(), 1u + 3 * 5);
   lines[6][lines[6].size() - 1] ^= 1;  // flip a payload bit
   {
-    std::ofstream out(kPath);
+    std::ofstream out(path_);
     for (const auto& line : lines) out << line << '\n';
   }
-  const ProfileLoadReport report = load_profiles_resilient(kPath);
+  const ProfileLoadReport report = load_profiles_resilient(path_);
   EXPECT_FALSE(report.file_quarantined);
   EXPECT_FALSE(report.clean());
   ASSERT_EQ(report.profiles.size(), 2u);
@@ -150,15 +150,14 @@ TEST(ProfileIo, ResilientLoadQuarantinesCorruptRecord) {
   EXPECT_EQ(report.profiles[0].condition.seed, 1u);
   EXPECT_EQ(report.profiles[1].condition.seed, 3u);
   // The strict loader refuses the same file loudly.
-  EXPECT_THROW((void)load_profiles(kPath), ContractViolation);
-  std::remove(kPath);
+  EXPECT_THROW((void)load_profiles(path_), ContractViolation);
 }
 
-TEST(ProfileIo, ResilientLoadQuarantinesTruncatedTail) {
-  save_profiles(kPath, {sample_profile(1), sample_profile(2)});
+TEST_F(ProfileIo, ResilientLoadQuarantinesTruncatedTail) {
+  save_profiles(path_, {sample_profile(1), sample_profile(2)});
   std::string text;
   {
-    std::ifstream in(kPath);
+    std::ifstream in(path_);
     std::stringstream buf;
     buf << in.rdbuf();
     text = buf.str();
@@ -168,25 +167,24 @@ TEST(ProfileIo, ResilientLoadQuarantinesTruncatedTail) {
   ASSERT_NE(first_cs, std::string::npos);
   const std::size_t cut = text.find('\n', first_cs);
   {
-    std::ofstream out(kPath);
+    std::ofstream out(path_);
     out << text.substr(0, cut + 30);
   }
-  const ProfileLoadReport report = load_profiles_resilient(kPath);
+  const ProfileLoadReport report = load_profiles_resilient(path_);
   EXPECT_FALSE(report.file_quarantined);
   ASSERT_EQ(report.profiles.size(), 1u);
   ASSERT_EQ(report.quarantined.size(), 1u);
   EXPECT_EQ(report.quarantined[0].index, 1u);
   EXPECT_NE(report.quarantined[0].reason.find("truncated"),
             std::string::npos);
-  std::remove(kPath);
 }
 
-TEST(ProfileIo, ResilientLoadAcceptsV1FilesWithoutChecksums) {
-  save_profiles(kPath, {sample_profile(4), sample_profile(5)});
+TEST_F(ProfileIo, ResilientLoadAcceptsV1FilesWithoutChecksums) {
+  save_profiles(path_, {sample_profile(4), sample_profile(5)});
   // Rewrite as a v1 file: old header, no checksum trailers.
   std::string text;
   {
-    std::ifstream in(kPath);
+    std::ifstream in(path_);
     std::stringstream buf;
     buf << in.rdbuf();
     text = buf.str();
@@ -205,34 +203,32 @@ TEST(ProfileIo, ResilientLoadAcceptsV1FilesWithoutChecksums) {
     v1 << line << '\n';
   }
   {
-    std::ofstream out(kPath);
+    std::ofstream out(path_);
     out << v1.str();
   }
-  const ProfileLoadReport report = load_profiles_resilient(kPath);
+  const ProfileLoadReport report = load_profiles_resilient(path_);
   EXPECT_TRUE(report.clean());
   EXPECT_EQ(report.version, 1);
   ASSERT_EQ(report.profiles.size(), 2u);
   EXPECT_EQ(report.profiles[0].condition.seed, 4u);
   // v1 files also still satisfy the strict loader.
-  EXPECT_EQ(load_profiles(kPath).size(), 2u);
-  std::remove(kPath);
+  EXPECT_EQ(load_profiles(path_).size(), 2u);
 }
 
-TEST(ProfileIo, ResilientLoadQuarantinesWholeFileOnMissingOrBadHeader) {
-  auto report = load_profiles_resilient("/tmp/stac_definitely_missing.txt");
+TEST_F(ProfileIo, ResilientLoadQuarantinesWholeFileOnMissingOrBadHeader) {
+  auto report = load_profiles_resilient(dir_.file("missing.txt"));
   EXPECT_TRUE(report.file_quarantined);
   EXPECT_TRUE(report.profiles.empty());
   {
-    std::ofstream out(kPath);
+    std::ofstream out(path_);
     out << "not-a-profile v1 0\n";
   }
-  report = load_profiles_resilient(kPath);
+  report = load_profiles_resilient(path_);
   EXPECT_TRUE(report.file_quarantined);
-  std::remove(kPath);
 }
 
-TEST(ProfileIo, InjectedIoFaultQuarantinesFile) {
-  save_profiles(kPath, {sample_profile(9)});
+TEST_F(ProfileIo, InjectedIoFaultQuarantinesFile) {
+  save_profiles(path_, {sample_profile(9)});
   FaultPlan plan;
   plan.add({.point = "io.load_profile",
             .action = FaultAction::kThrow,
@@ -240,31 +236,29 @@ TEST(ProfileIo, InjectedIoFaultQuarantinesFile) {
             .message = "disk unreadable"});
   {
     FaultScope scope(plan);
-    const ProfileLoadReport report = load_profiles_resilient(kPath);
+    const ProfileLoadReport report = load_profiles_resilient(path_);
     EXPECT_TRUE(report.file_quarantined);
     EXPECT_EQ(report.file_reason, "disk unreadable");
-    EXPECT_THROW((void)load_profiles(kPath), ContractViolation);
+    EXPECT_THROW((void)load_profiles(path_), ContractViolation);
   }
   // Chaos disarmed: the same file loads fine.
-  EXPECT_EQ(load_profiles(kPath).size(), 1u);
-  std::remove(kPath);
+  EXPECT_EQ(load_profiles(path_).size(), 1u);
 }
 
-TEST(ProfileIo, RejectsTruncatedRecord) {
+TEST_F(ProfileIo, RejectsTruncatedRecord) {
   std::vector<Profile> profiles{sample_profile(7)};
-  save_profiles(kPath, profiles);
+  save_profiles(path_, profiles);
   // Truncate the file in the middle of the record.
   std::string contents;
   {
-    std::ifstream in(kPath);
+    std::ifstream in(path_);
     std::getline(in, contents);  // header only
   }
   {
-    std::ofstream out(kPath);
+    std::ofstream out(path_);
     out << contents << "\n";  // claims 1 profile, provides none
   }
-  EXPECT_THROW((void)load_profiles(kPath), ContractViolation);
-  std::remove(kPath);
+  EXPECT_THROW((void)load_profiles(path_), ContractViolation);
 }
 
 }  // namespace

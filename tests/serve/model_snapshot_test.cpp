@@ -111,7 +111,10 @@ TEST(ModelSnapshot, SwapUnderLoadNeverTearsAReader) {
     for (int r = 0; r < kReaders; ++r) {
       readers.emplace_back([&] {
         std::uint64_t last = 0;
-        for (std::uint64_t i = 0; i < kReadsEach; ++i) {
+        // Keep reading past the quota until a swap has been observed, so
+        // reads and swaps genuinely overlap even when the scheduler runs
+        // every reader to completion before the publisher's first swap.
+        for (std::uint64_t i = 0; i < kReadsEach || last < 2; ++i) {
           const auto guard = snap.acquire();
           ASSERT_TRUE(guard);
           ASSERT_TRUE(guard->coherent());
