@@ -1,17 +1,16 @@
-// Training-stack performance: the PR-2 hot-path overhaul measured end to
-// end.  Four stages, each timed against its serial/legacy counterpart and
-// recorded in the machine-readable BENCH_PR2.json:
+// Training-stack performance measured end to end and recorded in the
+// machine-readable BENCH_PR2.json:
 //
-//   tree_fit      presorted split search vs the per-node-sort baseline
-//                 (single thread; target >= 1.5x on exhaustive splits)
+//   tree_fit      single-tree fit time (presorted split search, exhaustive
+//                 splits, single thread)
 //   cascade_fit   level-parallel deep-forest training vs a serial fit
 //                 (target >= 3x with >= 4 cores; recorded with the core
 //                 count so small machines are interpretable)
 //   policy_sweep  grid-parallel G/G/k policy exploration vs serial
 //   mgs_scan      multi-grain scanning fit + transform wall time
 //
-// Every parallel/serial and presort/legacy pair is also cross-checked for
-// bit-identical predictions — speed that changes the model is a bug.
+// Every parallel/serial pair is also cross-checked for bit-identical
+// predictions — speed that changes the model is a bug.
 #include <cmath>
 #include <iostream>
 #include <limits>
@@ -80,38 +79,24 @@ int main(int argc, char** argv) {
   record.set("meta", meta);
   Table table({"Stage", "baseline", "optimized", "speedup", "identical"});
 
-  // ---- Stage 1: single-tree fit, presorted vs per-node sort ------------
+  // ---- Stage 1: single-tree fit (presorted split search) ---------------
   {
     const std::size_t n = args.fast ? 1200 : 4000;
     const ml::Dataset data = synthetic_dataset(n, 24, args.seed);
-    const ml::Dataset probe = synthetic_dataset(256, 24, args.seed + 1);
     ml::TreeConfig tc;
     tc.split_mode = ml::SplitMode::kAllFeatures;
     tc.seed = args.seed;
-
-    tc.presort = false;
-    ml::DecisionTree legacy(tc);
-    const double legacy_s =
-        timed_best(args.fast ? 1 : 3, [&] { legacy.fit(data); });
-    tc.presort = true;
-    ml::DecisionTree presorted(tc);
-    const double presorted_s =
-        timed_best(args.fast ? 1 : 3, [&] { presorted.fit(data); });
-
-    const bool identical = same_predictions(legacy.predict(probe.features()),
-                                            presorted.predict(probe.features()));
-    const double speedup = legacy_s / presorted_s;
+    ml::DecisionTree tree(tc);
+    const double fit_s =
+        timed_best(args.fast ? 1 : 3, [&] { tree.fit(data); });
     JsonObject s;
     s.set("rows", n)
         .set("features", std::size_t{24})
-        .set("legacy_s", legacy_s)
-        .set("presorted_s", presorted_s)
-        .set("speedup", speedup)
-        .set("identical_predictions", identical);
+        .set("presorted_s", fit_s)
+        .set("nodes", tree.node_count());
     record.set("tree_fit", s);
-    table.add_row({"tree fit (presort)", Table::num(legacy_s, 3) + "s",
-                   Table::num(presorted_s, 3) + "s", Table::num(speedup, 2),
-                   identical ? "yes" : "NO"});
+    table.add_row({"tree fit (presort)", "-", Table::num(fit_s, 3) + "s", "-",
+                   "-"});
   }
 
   // ---- Stage 2: cascade fit, level-parallel vs serial ------------------

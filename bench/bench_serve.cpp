@@ -14,9 +14,7 @@
 //                       plan p99;
 //   refit             — PR-9 tentpole gate: cold full fit vs warm-start
 //                       incremental refit on a grown profile library
-//                       (warm >= 5x cheaper), accuracy-parity RMSE bound,
-//                       and flattened-vs-pointer-walk predict bitwise
-//                       identity;
+//                       (warm >= 5x cheaper) and accuracy-parity RMSE bound;
 //   hot_swap          — model hot-swaps under live load, gated on zero
 //                       lost events;
 //   recovery_time     — checkpoint write / load / recover latency, plus the
@@ -38,7 +36,6 @@
 #include <cstring>
 #include <filesystem>
 #include <memory>
-#include <random>
 #include <span>
 #include <thread>
 #include <vector>
@@ -46,7 +43,6 @@
 #include "bench_util.hpp"
 #include "cachesim/simd_probe.hpp"
 #include "fleet/fleet_coordinator.hpp"
-#include "ml/random_forest.hpp"
 #include "obs/trace.hpp"
 #include "serve/checkpoint.hpp"
 #include "serve/online_controller.hpp"
@@ -343,8 +339,8 @@ JsonObject bench_control_epoch(const BenchArgs& args,
 }
 
 /// Section 2b (PR-9 tentpole gate): the refit pipeline itself.  Cold full
-/// fit vs warm-start incremental refit on a grown profile library, the
-/// accuracy-parity contract, and flattened-forest predict identity.
+/// fit vs warm-start incremental refit on a grown profile library and the
+/// accuracy-parity contract.
 JsonObject bench_refit(const BenchArgs& args, const core::StacManager& mgr,
                        const core::StacOptions& opts) {
   // Grown-library scenario: the calibrated library doubled with
@@ -430,40 +426,6 @@ JsonObject bench_refit(const BenchArgs& args, const core::StacManager& mgr,
   const double parity_epsilon = 0.05;
   const bool parity = rmse_warm <= rmse_cold + parity_epsilon;
 
-  // Flattened-forest identity: the SoA arena walk must be bitwise equal to
-  // the pointer walk, across seeds and across a warm refit.
-  bool flat_identical = true;
-  for (std::uint64_t seed = 1; seed <= 3 && flat_identical; ++seed) {
-    ml::Dataset ds;
-    std::mt19937_64 rng(seed * 7919);
-    std::uniform_real_distribution<double> u(-2.0, 2.0);
-    for (std::size_t i = 0; i < 160; ++i) {
-      const double row[3] = {u(rng), u(rng), u(rng)};
-      ds.add_row(std::span<const double>(row, 3),
-                 row[0] * row[1] + (row[2] > 0 ? row[2] : -0.5 * row[2]));
-    }
-    ml::ForestConfig fc;
-    fc.estimators = 12;
-    fc.seed = seed;
-    ml::ForestConfig fc_ptr = fc;
-    fc_ptr.flatten = false;
-    ml::RandomForest flat_rf(fc), ptr_rf(fc_ptr);
-    flat_rf.fit(ds);
-    ptr_rf.fit(ds);
-    for (std::size_t i = 0; i < 40; ++i) {
-      const double row[3] = {u(rng), u(rng), u(rng)};
-      ds.add_row(std::span<const double>(row, 3), u(rng));
-    }
-    flat_rf.refit_incremental(ds);
-    ptr_rf.refit_incremental(ds);
-    for (std::size_t i = 0; i < 64 && flat_identical; ++i) {
-      const double x[3] = {u(rng), u(rng), u(rng)};
-      const double ya = flat_rf.predict(std::span<const double>(x, 3));
-      const double yb = ptr_rf.predict(std::span<const double>(x, 3));
-      flat_identical = std::memcmp(&ya, &yb, sizeof(double)) == 0;
-    }
-  }
-
   JsonObject out;
   out.set("library_profiles", all.size());
   out.set("base_profiles", base.size());
@@ -481,13 +443,11 @@ JsonObject bench_refit(const BenchArgs& args, const core::StacManager& mgr,
   out.set("parity_epsilon", parity_epsilon);
   out.set("warm_speedup_gate_5x", speedup >= 5.0);
   out.set("refit_parity_gate", parity);
-  out.set("flat_predict_identical", flat_identical);
   std::printf("  refit: cold p50 %.0f ms, warm p50 %.0f ms (%.1fx, gate "
-              ">=5x %s); rmse cold %.4f vs warm %.4f (parity %s); flat "
-              "predict identical %s\n",
+              ">=5x %s); rmse cold %.4f vs warm %.4f (parity %s)\n",
               cold_p50 * 1e3, warm_p50 * 1e3, speedup,
               speedup >= 5.0 ? "pass" : "FAIL", rmse_cold, rmse_warm,
-              parity ? "pass" : "FAIL", flat_identical ? "true" : "FALSE");
+              parity ? "pass" : "FAIL");
   return out;
 }
 

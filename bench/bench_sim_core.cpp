@@ -1,26 +1,20 @@
-// Simulation-core performance: the PR-4 overhaul plus the PR-7 batch /
-// SIMD layers and the PR-10 memory-time model, measured end to end and
-// recorded in the machine-readable BENCH_PR10.json:
+// Simulation-core performance, recorded in the machine-readable
+// BENCH_PR10.json as absolute rates of the one implementation each stage
+// has (identity with the retired alternates is pinned by
+// tests/golden/golden_digest_test.cpp, not here):
 //
-//   ggk_event_loop     fast engine (pre-drawn CRN streams, sorted-arrival
-//                      replay, 4-ary lazy-deletion completion heap) vs the
-//                      legacy single binary heap, over a timeout x load
-//                      grid (single thread; target >= 2x)
-//   ggk_batch          simulate_ggk_batch (arena recycling + one CRN
-//                      stream fetch per (seed, rate, cv) group) vs per-cell
-//                      simulate_ggk on the same grid, both cold-cache
-//   cache_replay       SoA cache levels (packed tag/valid/owner/age lanes,
-//                      branch-light probe) vs the legacy array-of-Way
-//                      layout on a hierarchy access-trace replay
-//                      (target >= 1.5x)
+//   ggk_event_loop     G/G/k jobs/s over a timeout x load grid (pre-drawn
+//                      CRN streams, sorted-arrival replay, 4-ary lazy-
+//                      deletion completion heap; cold stream cache, single
+//                      thread)
+//   cache_replay       hierarchy trace replay in Maccess/s (SoA levels,
+//                      branch-light probe)
 //   probe_simd         widest-ISA probe/victim kernels vs the scalar
 //                      oracles (identity, not speed: the end-to-end effect
 //                      is inside cache_replay); records the effective ISA
 //   policy_sweep_memo  RtPredictionCache memoization of the paper's 25-cell
 //                      policy grid vs always-resimulating (target >50% hit
 //                      rate, visible in obs_metrics)
-//   policy_sweep_batch ExplorerConfig::batch (whole grid in one
-//                      simulate_batch wave) vs the per-cell sweep
 //   timed_replay       memtime-timed replay (split hit/miss latencies,
 //                      bandwidth-queued DRAM) vs the flat fast path, plus
 //                      the timing-off closed-form identity and the queue
@@ -29,9 +23,8 @@
 //                      cycles per access, DRAM queue share, stacked-tier
 //                      hit fraction (the Fig. 7a hardware axis)
 //
-// Every fast/legacy pair is cross-checked bit for bit — a speedup that
-// changes a single sample, counter or selection is a bug, and CI asserts
-// the identity fields of the emitted JSON (.github/workflows/ci.yml).
+// CI asserts the identity fields of the emitted JSON
+// (.github/workflows/ci.yml).
 #include <iostream>
 #include <limits>
 
@@ -49,12 +42,6 @@ using namespace stac::bench;
 
 namespace {
 
-/// Pool width below which the batch-engine sections report their
-/// measurement but make no speedup claim: the wave's win is fan-out across
-/// the worker pool, and at 1-2 workers the number is scheduling noise
-/// (0.95x on the PR-7 record's 2-worker box), not a property of the engine.
-constexpr std::size_t kMinBatchClaimWorkers = 4;
-
 /// Best-of-`reps` wall time for one call.
 template <typename Fn>
 double timed_best(std::size_t reps, Fn&& fn) {
@@ -65,19 +52,6 @@ double timed_best(std::size_t reps, Fn&& fn) {
     best = std::min(best, sw.seconds());
   }
   return best;
-}
-
-bool same_result(const queueing::GGkResult& a, const queueing::GGkResult& b) {
-  if (a.completed != b.completed || a.boosted_queries != b.boosted_queries ||
-      a.cos_switches != b.cos_switches ||
-      a.mean_queue_delay != b.mean_queue_delay)
-    return false;
-  const auto as = a.response_times.samples();
-  const auto bs = b.response_times.samples();
-  if (as.size() != bs.size()) return false;
-  for (std::size_t i = 0; i < as.size(); ++i)
-    if (as[i] != bs[i]) return false;  // bitwise, not approximate
-  return true;
 }
 
 /// The Stage-3 shape the rt_predictor sweeps: one (seed, load) stream
@@ -153,31 +127,7 @@ Trace cache_trace(std::size_t n, std::uint64_t seed) {
   return t;
 }
 
-cachesim::HierarchyConfig hierarchy_with_layout(bool soa) {
-  cachesim::HierarchyConfig cfg;  // generic: 32K L1, 1M L2, 40M/20-way LLC
-  cfg.l1d.soa = soa;
-  cfg.l1i.soa = soa;
-  cfg.l2.soa = soa;
-  cfg.llc.soa = soa;
-  return cfg;
-}
-
-/// Drive the trace through per-reference access() calls — the seed-style
-/// driver the legacy side runs.  Returns the latency sum (the value the
-/// identity check compares, alongside full per-class counter images).
-std::uint64_t drive_per_access(cachesim::CacheHierarchy& h, const Trace& t,
-                               cachesim::WayMask mask0,
-                               cachesim::WayMask mask1) {
-  h.reset();
-  h.set_llc_fill_mask(0, mask0);
-  h.set_llc_fill_mask(1, mask1);
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < t.refs.size(); ++i)
-    total += h.access(t.classes[i], t.refs[i]);
-  return total;
-}
-
-/// Drive the trace through the batched replay() entry point (fast side).
+/// Drive the trace through the batched replay() entry point.
 std::uint64_t drive_replay(cachesim::CacheHierarchy& h, const Trace& t,
                            cachesim::WayMask mask0, cachesim::WayMask mask1) {
   h.reset();
@@ -208,142 +158,55 @@ int main(int argc, char** argv) {
       .set("fast", args.fast)
       .set("simd_isa", cachesim::simd::isa_name());
   record.set("meta", meta);
-  Table table({"Stage", "legacy", "fast", "speedup", "identical"});
+  Table table({"Stage", "baseline", "measured", "rate / ratio", "identical"});
   const std::size_t reps = args.fast ? 1 : 3;
 
-  // ---- Stage 1: G/G/k event loop, fast engine vs legacy heap -----------
+  // ---- Stage 1: G/G/k event loop over a timeout x load grid ------------
   {
     const std::size_t queries = args.fast ? 6000 : 40000;
     const auto grid = ggk_grid(queries, args.seed);
-    std::vector<queueing::GGkResult> legacy(grid.size()), fast(grid.size());
-
-    const double legacy_s = timed_best(reps, [&] {
-      for (std::size_t i = 0; i < grid.size(); ++i) {
-        queueing::GGkConfig c = grid[i];
-        c.fast_events = false;
-        legacy[i] = queueing::simulate_ggk(c);
-      }
-    });
-    const double fast_s = timed_best(reps, [&] {
+    std::size_t jobs = 0;
+    for (const queueing::GGkConfig& c : grid) jobs += c.queries;
+    const double grid_s = timed_best(reps, [&] {
       // Cold CRN cache each rep: the stream pre-draw cost is part of the
-      // measured fast path, amortized over the grid exactly as a predictor
+      // measured path, amortized over the grid exactly as a predictor
       // timeout sweep amortizes it.
       queueing::clear_crn_stream_cache();
-      for (std::size_t i = 0; i < grid.size(); ++i) {
-        queueing::GGkConfig c = grid[i];
-        c.fast_events = true;
-        fast[i] = queueing::simulate_ggk(c);
-      }
+      for (const queueing::GGkConfig& c : grid)
+        (void)queueing::simulate_ggk(c);
     });
-
-    bool identical = true;
-    for (std::size_t i = 0; i < grid.size(); ++i)
-      identical = identical && same_result(legacy[i], fast[i]);
-    const double speedup = legacy_s / fast_s;
+    const double jobs_per_s = static_cast<double>(jobs) / grid_s;
     JsonObject s;
     s.set("grid_cells", grid.size())
         .set("queries_per_cell", queries)
-        .set("legacy_s", legacy_s)
-        .set("fast_s", fast_s)
-        .set("speedup", speedup)
-        .set("bit_identical", identical);
+        .set("grid_s", grid_s)
+        .set("jobs_per_s", jobs_per_s);
     record.set("ggk_event_loop", s);
-    table.add_row({"G/G/k timeout grid", Table::num(legacy_s, 3) + "s",
-                   Table::num(fast_s, 3) + "s", Table::num(speedup, 2),
-                   identical ? "yes" : "NO"});
+    table.add_row({"G/G/k timeout grid", "-", Table::num(grid_s, 3) + "s",
+                   Table::num(jobs_per_s / 1e6, 2) + "M jobs/s", "-"});
   }
 
-  // ---- Stage 1b: batched G/G/k, simulate_ggk_batch vs per-cell ---------
-  {
-    const std::size_t queries = args.fast ? 6000 : 40000;
-    const auto grid = ggk_grid(queries, args.seed + 1);
-    std::vector<queueing::GGkResult> per_cell(grid.size());
-    std::vector<queueing::GGkResult> batch;
-
-    // Both sides run the fast engine with a cold CRN cache each rep: the
-    // batch side's win is the shared stream fetch + arena recycling, which
-    // only shows when the streams are not already memoized process-wide.
-    const double cell_s = timed_best(reps, [&] {
-      queueing::clear_crn_stream_cache();
-      for (std::size_t i = 0; i < grid.size(); ++i)
-        per_cell[i] = queueing::simulate_ggk(grid[i]);
-    });
-    const double batch_s = timed_best(reps, [&] {
-      queueing::clear_crn_stream_cache();
-      batch = queueing::simulate_ggk_batch(grid);
-    });
-
-    bool identical = batch.size() == grid.size();
-    for (std::size_t i = 0; identical && i < grid.size(); ++i)
-      identical = same_result(per_cell[i], batch[i]);
-    const double speedup = cell_s / batch_s;
-    // The batch engine's win is pool fan-out over the grid; on a small
-    // machine the fan-out barely outruns its own scheduling (the PR-7
-    // record printed 0.95x at pool_workers: 2).  Same policy as the PR-2
-    // cascade sections: record the measurement, claim the speedup only
-    // when the pool is wide enough for it to mean anything.
-    const bool claim = workers >= kMinBatchClaimWorkers;
-    JsonObject s;
-    s.set("grid_cells", grid.size())
-        .set("queries_per_cell", queries)
-        .set("workers", workers)
-        .set("per_cell_s", cell_s)
-        .set("batch_s", batch_s)
-        .set("speedup_measured", speedup)
-        .set("speedup_claimed", claim)
-        .set("bit_identical", identical);
-    if (claim) s.set("speedup", speedup);
-    record.set("ggk_batch", s);
-    table.add_row({"G/G/k batch engine", Table::num(cell_s, 3) + "s",
-                   Table::num(batch_s, 3) + "s",
-                   claim ? Table::num(speedup, 2)
-                         : Table::num(speedup, 2) + " (n/a: " +
-                               std::to_string(workers) + " workers)",
-                   identical ? "yes" : "NO"});
-  }
-
-  // ---- Stage 2: cache-hierarchy replay, SoA vs AoS levels --------------
+  // ---- Stage 2: cache-hierarchy replay ---------------------------------
   {
     const std::size_t n = args.fast ? 300000 : 3000000;
     const Trace trace = cache_trace(n, args.seed + 11);
-    cachesim::CacheHierarchy aos(hierarchy_with_layout(false), 2);
-    cachesim::CacheHierarchy soa(hierarchy_with_layout(true), 2);
+    // Generic platform: 32K L1, 1M L2, 40M/20-way LLC.
+    cachesim::CacheHierarchy hw(cachesim::HierarchyConfig{}, 2);
     // Asymmetric CAT masks: one boosted class, one clipped — exercises the
     // masked-victim scan and the outside-mask hit path.
-    const cachesim::WayMask mask0 = aos.llc().full_mask();
+    const cachesim::WayMask mask0 = hw.llc().full_mask();
     const cachesim::WayMask mask1 = 0x3F;
-
-    // Interleave the two sides within each rep (rather than timing all
-    // legacy reps then all SoA reps) so ambient load perturbs both measures
-    // alike; best-of per side still rejects one-off stalls.
-    std::uint64_t lat_aos = 0, lat_soa = 0;
-    double legacy_s = std::numeric_limits<double>::infinity();
-    double soa_s = std::numeric_limits<double>::infinity();
-    for (std::size_t r = 0; r < reps; ++r) {
-      Stopwatch sw;
-      lat_aos = drive_per_access(aos, trace, mask0, mask1);
-      legacy_s = std::min(legacy_s, sw.seconds());
-      sw.restart();
-      lat_soa = drive_replay(soa, trace, mask0, mask1);
-      soa_s = std::min(soa_s, sw.seconds());
-    }
-
-    bool identical = lat_aos == lat_soa;
-    for (cachesim::ClassId cls = 0; cls < 2; ++cls)
-      identical = identical &&
-                  aos.counters(cls).values == soa.counters(cls).values &&
-                  aos.llc_occupancy(cls) == soa.llc_occupancy(cls);
-    const double speedup = legacy_s / soa_s;
+    const double replay_s = timed_best(
+        reps, [&] { (void)drive_replay(hw, trace, mask0, mask1); });
+    const double maccess_per_s = static_cast<double>(n) / replay_s / 1e6;
     JsonObject s;
     s.set("accesses", n)
-        .set("legacy_s", legacy_s)
-        .set("soa_s", soa_s)
-        .set("speedup", speedup)
-        .set("bit_identical", identical);
+        .set("replay_s", replay_s)
+        .set("maccess_per_s", maccess_per_s);
     record.set("cache_replay", s);
-    table.add_row({"hierarchy replay (SoA)", Table::num(legacy_s, 3) + "s",
-                   Table::num(soa_s, 3) + "s", Table::num(speedup, 2),
-                   identical ? "yes" : "NO"});
+    table.add_row({"hierarchy replay (SoA)", "-",
+                   Table::num(replay_s, 3) + "s",
+                   Table::num(maccess_per_s, 1) + " Maccess/s", "-"});
   }
 
   // ---- Stage 2b: SIMD probe/victim kernels vs the scalar oracles -------
@@ -404,7 +267,7 @@ int main(int argc, char** argv) {
     const std::size_t n = args.fast ? 300000 : 3000000;
     const Trace trace = cache_trace(n, args.seed + 31);
 
-    cachesim::HierarchyConfig flat_cfg = hierarchy_with_layout(true);
+    cachesim::HierarchyConfig flat_cfg;
     cachesim::HierarchyConfig timed_cfg = flat_cfg;
     timed_cfg.timing.l1d = {1, 4, memtime::LookupMode::kParallel};
     timed_cfg.timing.l1i = {1, 4, memtime::LookupMode::kParallel};
@@ -627,73 +490,6 @@ int main(int argc, char** argv) {
     record.set("policy_sweep_memo", s);
     table.add_row({"policy sweep (memoized)", Table::num(plain_s, 3) + "s",
                    Table::num(memo_s, 3) + "s", Table::num(speedup, 2),
-                   identical ? "yes" : "NO"});
-  }
-
-  // ---- Stage 3b: batched policy sweep vs per-cell ----------------------
-  {
-    profiler::ProfilerConfig pc;
-    pc.target_completions = args.fast ? 250 : 400;
-    pc.warmup_completions = 40;
-    profiler::Profiler profiler(pc);
-    core::RtPredictorConfig rc;
-    rc.analytic_ea = true;
-    rc.sim_queries = args.fast ? 2000 : 6000;
-    rc.seed = args.seed + 4;
-    rc.memoize = false;  // isolate the batch wave from the memo cache
-    profiler::RuntimeCondition cond;
-    cond.primary = wl::Benchmark::kKmeans;
-    cond.collocated = wl::Benchmark::kRedis;
-    cond.util_primary = 0.9;
-    cond.util_collocated = 0.9;
-    cond.seed = args.seed + 5;
-    core::RtPredictor pred(profiler, nullptr, nullptr, rc);
-
-    core::ExplorerConfig per_cell;  // 5x5 grid
-    per_cell.parallel = false;
-    per_cell.batch = false;
-    core::ExplorerConfig batched = per_cell;
-    batched.batch = true;
-
-    core::PolicyExploration base, wave;
-    const double cell_s = timed_best(reps, [&] {
-      queueing::clear_crn_stream_cache();
-      base = explore_policies(pred, cond, per_cell);
-    });
-    const double batch_s = timed_best(reps, [&] {
-      queueing::clear_crn_stream_cache();
-      wave = explore_policies(pred, cond, batched);
-    });
-
-    bool identical =
-        base.selection.timeout_primary == wave.selection.timeout_primary &&
-        base.selection.timeout_collocated ==
-            wave.selection.timeout_collocated;
-    for (std::size_t i = 0;
-         identical && i < base.predicted_primary.data().size(); ++i)
-      identical = base.predicted_primary.data()[i] ==
-                      wave.predicted_primary.data()[i] &&
-                  base.predicted_collocated.data()[i] ==
-                      wave.predicted_collocated.data()[i];
-    const double speedup = cell_s / batch_s;
-    // Same honesty rule as ggk_batch: the wave's advantage is pool-wide
-    // CRN-stream sharing and fan-out, invisible at 1-2 workers.
-    const bool claim = workers >= kMinBatchClaimWorkers;
-    JsonObject s;
-    s.set("grid_cells", per_cell.grid.size() * per_cell.grid.size())
-        .set("workers", workers)
-        .set("per_cell_s", cell_s)
-        .set("batch_s", batch_s)
-        .set("speedup_measured", speedup)
-        .set("speedup_claimed", claim)
-        .set("bit_identical", identical);
-    if (claim) s.set("speedup", speedup);
-    record.set("policy_sweep_batch", s);
-    table.add_row({"policy sweep (batched)", Table::num(cell_s, 3) + "s",
-                   Table::num(batch_s, 3) + "s",
-                   claim ? Table::num(speedup, 2)
-                         : Table::num(speedup, 2) + " (n/a: " +
-                               std::to_string(workers) + " workers)",
                    identical ? "yes" : "NO"});
   }
 

@@ -20,12 +20,6 @@ struct LevelConfig {
   std::size_t ways = 0;
   std::size_t line_bytes = 64;
   std::uint32_t latency_cycles = 0;
-  /// Storage layout (DESIGN.md §10): true (default) = structure-of-arrays
-  /// with packed per-set tag/valid/owner/age lanes and a branch-light
-  /// strided probe; false = the legacy array-of-Way reference layout.
-  /// Hit/miss/eviction decisions are identical either way
-  /// (tests/cachesim/cache_level_test.cpp replays both against each other).
-  bool soa = true;
 
   [[nodiscard]] std::size_t lines() const { return size_bytes / line_bytes; }
   [[nodiscard]] std::size_t sets() const {

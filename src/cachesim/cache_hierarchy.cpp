@@ -253,10 +253,9 @@ std::uint64_t CacheHierarchy::replay(const MemoryAccess* refs,
                                      const ClassId* classes, std::size_t n) {
   // Pick the loop instantiation once per batch: the default Xeon presets
   // all use 8/8/16/20 ways, so that tuple gets a fully specialized body
-  // whose SoA probes inline and unroll; anything else (or any level still
-  // on the legacy layout) takes the generic body driven through access().
-  if (config_.l1d.soa && config_.l1i.soa && config_.l2.soa &&
-      config_.llc.soa && config_.l1d.ways == 8 && config_.l1i.ways == 8 &&
+  // whose probes inline and unroll; any other geometry takes the generic
+  // body driven through access().
+  if (config_.l1d.ways == 8 && config_.l1i.ways == 8 &&
       config_.l2.ways == 16 && config_.llc.ways == 20) {
     return replay_fixed<8, 8, 16, 20>(refs, classes, n);
   }

@@ -101,7 +101,7 @@ class CacheHierarchy {
  private:
   /// replay() loop body, stamped per (L1D, L1I, L2, LLC) way-width tuple so
   /// the SoA probes inline and unroll into the loop.  Width 0 falls back to
-  /// the generic access() dispatcher for that level (any layout/geometry).
+  /// the generic access() dispatcher for that level (any geometry).
   template <std::size_t L1DW, std::size_t L1IW, std::size_t L2W,
             std::size_t LLCW>
   std::uint64_t replay_fixed(const MemoryAccess* refs, const ClassId* classes,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <limits>
 #include <numeric>
 
 #include "common/check.hpp"
@@ -25,65 +24,12 @@ CacheLevel::CacheLevel(const LevelConfig& config) : config_(config) {
   sets_ = config.sets();
   set_bits_ = static_cast<std::size_t>(std::countr_zero(sets_));
   set_mask_ = sets_ - 1;
-  if (config_.soa) {
-    keys_.resize(sets_ * config.ways, 0);
-    ages_.resize(sets_ * config.ways, 0);
-    owners_.resize(sets_ * config.ways, kNoClass);
-    set_clock_.resize(sets_, 0);
-    mru_.resize(sets_, 0);
-  } else {
-    ways_.resize(sets_ * config.ways);
-  }
+  keys_.resize(sets_ * config.ways, 0);
+  ages_.resize(sets_ * config.ways, 0);
+  owners_.resize(sets_ * config.ways, kNoClass);
+  set_clock_.resize(sets_, 0);
+  mru_.resize(sets_, 0);
   occupancy_.resize(1, 0);
-}
-
-AccessResult CacheLevel::access_legacy(std::uint64_t line_addr,
-                                       WayMask fill_mask, ClassId class_id) {
-  AccessResult result;
-  const std::size_t set = set_index(line_addr);
-  const std::uint64_t tag = tag_of(line_addr);
-  Way* base = ways_.data() + set * config_.ways;
-  ++clock_;
-
-  // Hits are permitted in any way — CAT only constrains fills.
-  for (std::size_t w = 0; w < config_.ways; ++w) {
-    Way& way = base[w];
-    if (way.valid && way.tag == tag) {
-      way.lru_stamp = clock_;
-      result.hit = true;
-      result.hit_outside_mask = ((fill_mask >> w) & 1u) == 0;
-      return result;
-    }
-  }
-
-  // Miss: install into a permitted way (invalid preferred, else LRU).
-  const WayMask usable = fill_mask & full_mask();
-  if (usable == 0) return result;  // bypass: nothing to fill into
-
-  std::size_t victim = config_.ways;  // sentinel
-  std::uint64_t oldest = ~std::uint64_t{0};
-  for (std::size_t w = 0; w < config_.ways; ++w) {
-    if (((usable >> w) & 1u) == 0) continue;
-    Way& way = base[w];
-    if (!way.valid) {
-      victim = w;
-      break;
-    }
-    if (way.lru_stamp < oldest) {
-      oldest = way.lru_stamp;
-      victim = w;
-    }
-  }
-  STAC_ENSURE(victim < config_.ways);
-
-  Way& way = base[victim];
-  if (way.valid) note_eviction(way.owner, result);
-  way.tag = tag;
-  way.valid = true;
-  way.owner = class_id;
-  way.lru_stamp = clock_;
-  note_install(class_id);
-  return result;
 }
 
 void CacheLevel::renormalize_set_ages(std::size_t set) {
@@ -102,18 +48,11 @@ void CacheLevel::renormalize_set_ages(std::size_t set) {
 
 bool CacheLevel::contains(std::uint64_t line_addr) const {
   const std::size_t set = set_index(line_addr);
-  const std::uint64_t tag = tag_of(line_addr);
-  if (config_.soa) {
-    const std::uint64_t* keys = keys_.data() + set * config_.ways;
-    const std::uint64_t probe = tag | kValidBit;
-    bool found = false;
-    for (std::size_t w = 0; w < config_.ways; ++w) found |= keys[w] == probe;
-    return found;
-  }
-  const Way* base = ways_.data() + set * config_.ways;
-  for (std::size_t w = 0; w < config_.ways; ++w)
-    if (base[w].valid && base[w].tag == tag) return true;
-  return false;
+  const std::uint64_t* keys = keys_.data() + set * config_.ways;
+  const std::uint64_t probe = tag_of(line_addr) | kValidBit;
+  bool found = false;
+  for (std::size_t w = 0; w < config_.ways; ++w) found |= keys[w] == probe;
+  return found;
 }
 
 std::size_t CacheLevel::occupancy(ClassId class_id) const {
@@ -121,27 +60,17 @@ std::size_t CacheLevel::occupancy(ClassId class_id) const {
 }
 
 void CacheLevel::flush() {
-  if (config_.soa) {
-    std::fill(keys_.begin(), keys_.end(), std::uint64_t{0});
-    std::fill(ages_.begin(), ages_.end(), 0u);
-    std::fill(owners_.begin(), owners_.end(), kNoClass);
-  } else {
-    for (auto& w : ways_) w = Way{};
-  }
+  std::fill(keys_.begin(), keys_.end(), std::uint64_t{0});
+  std::fill(ages_.begin(), ages_.end(), 0u);
+  std::fill(owners_.begin(), owners_.end(), kNoClass);
   for (auto& o : occupancy_) o = 0;
 }
 
 void CacheLevel::flush_class(ClassId class_id) {
-  if (config_.soa) {
-    for (std::size_t i = 0; i < keys_.size(); ++i) {
-      if ((keys_[i] & kValidBit) != 0 && owners_[i] == class_id) {
-        keys_[i] = 0;
-        owners_[i] = kNoClass;
-      }
-    }
-  } else {
-    for (auto& w : ways_) {
-      if (w.valid && w.owner == class_id) w = Way{};
+  for (std::size_t i = 0; i < keys_.size(); ++i) {
+    if ((keys_[i] & kValidBit) != 0 && owners_[i] == class_id) {
+      keys_[i] = 0;
+      owners_[i] = kNoClass;
     }
   }
   if (class_id < occupancy_.size()) occupancy_[class_id] = 0;

@@ -17,8 +17,8 @@ struct SplitCandidate {
   std::uint32_t feature = 0;
   double threshold = 0.0;
   double gain = 0.0;
-  /// Samples on the left side (presorted path: the split feature's sorted
-  /// prefix length, which pins the partition point without re-scanning).
+  /// Samples on the left side: the split feature's sorted prefix length,
+  /// which pins the partition point without re-scanning.
   std::size_t left_count = 0;
 };
 
@@ -58,8 +58,8 @@ struct DecisionTree::PresortContext {
   /// features x n: values[f*n + i] mirrors order (stride-1 sweep reads).
   std::vector<double> values;
   /// Node slots in bootstrap order (stable partitions preserve it).  Node
-  /// moments accumulate over this order so leaf values are bitwise equal
-  /// to the legacy per-node-sort path.
+  /// moments accumulate over this order, so a leaf's value is the mean of
+  /// its samples summed in bootstrap order.
   std::vector<std::uint32_t> slots;
   std::vector<char> goes_left;          ///< per-slot partition flag
   std::vector<std::uint32_t> tmp_order;  ///< stable-partition spill
@@ -82,37 +82,37 @@ void DecisionTree::fit(const Dataset& data, std::span<const std::size_t> rows) {
   }
   Rng rng(config_.seed);
 
-  if (config_.presort && config_.split_mode != SplitMode::kCompletelyRandom) {
-    const std::size_t n = work.size();
-    PresortContext ctx;
-    ctx.n = n;
-    ctx.features = feature_count_;
-    ctx.target.resize(n);
-    for (std::size_t s = 0; s < n; ++s) ctx.target[s] = data.target(work[s]);
-    ctx.order.resize(feature_count_ * n);
-    ctx.values.resize(feature_count_ * n);
-    ctx.slots.resize(n);
-    std::iota(ctx.slots.begin(), ctx.slots.end(), 0);
-    ctx.goes_left.resize(n);
-    ctx.tmp_order.resize(n);
-    ctx.tmp_values.resize(n);
-    // One sort per feature per fit; ties ordered by slot so the layout is
-    // deterministic.  Column-major reads make the gather stride-1.
-    std::vector<std::pair<double, std::uint32_t>> keyed(n);
-    for (std::size_t f = 0; f < feature_count_; ++f) {
-      const auto col = data.column(f);
-      for (std::size_t s = 0; s < n; ++s)
-        keyed[s] = {col[work[s]], static_cast<std::uint32_t>(s)};
-      std::sort(keyed.begin(), keyed.end());
-      for (std::size_t i = 0; i < n; ++i) {
-        ctx.order[f * n + i] = keyed[i].second;
-        ctx.values[f * n + i] = keyed[i].first;
-      }
-    }
-    build_presorted(ctx, 0, n, 0, rng);
+  if (config_.split_mode == SplitMode::kCompletelyRandom) {
+    build_random(data, work, 0, work.size(), 0, rng);
     return;
   }
-  build(data, work, 0, work.size(), 0, rng);
+  const std::size_t n = work.size();
+  PresortContext ctx;
+  ctx.n = n;
+  ctx.features = feature_count_;
+  ctx.target.resize(n);
+  for (std::size_t s = 0; s < n; ++s) ctx.target[s] = data.target(work[s]);
+  ctx.order.resize(feature_count_ * n);
+  ctx.values.resize(feature_count_ * n);
+  ctx.slots.resize(n);
+  std::iota(ctx.slots.begin(), ctx.slots.end(), 0);
+  ctx.goes_left.resize(n);
+  ctx.tmp_order.resize(n);
+  ctx.tmp_values.resize(n);
+  // One sort per feature per fit; ties ordered by slot so the layout is
+  // deterministic.  Column-major reads make the gather stride-1.
+  std::vector<std::pair<double, std::uint32_t>> keyed(n);
+  for (std::size_t f = 0; f < feature_count_; ++f) {
+    const auto col = data.column(f);
+    for (std::size_t s = 0; s < n; ++s)
+      keyed[s] = {col[work[s]], static_cast<std::uint32_t>(s)};
+    std::sort(keyed.begin(), keyed.end());
+    for (std::size_t i = 0; i < n; ++i) {
+      ctx.order[f * n + i] = keyed[i].second;
+      ctx.values[f * n + i] = keyed[i].first;
+    }
+  }
+  build_presorted(ctx, 0, n, 0, rng);
 }
 
 std::int32_t DecisionTree::build_presorted(PresortContext& ctx,
@@ -121,8 +121,7 @@ std::int32_t DecisionTree::build_presorted(PresortContext& ctx,
   const std::size_t n = end - begin;
   STAC_REQUIRE(n > 0);
 
-  // Accumulate in bootstrap order (ctx.slots), matching the legacy path's
-  // row order bit for bit.
+  // Accumulate in bootstrap order (ctx.slots).
   Moments all;
   for (std::size_t i = begin; i < end; ++i)
     all.add(ctx.target[ctx.slots[i]]);
@@ -179,8 +178,7 @@ std::int32_t DecisionTree::build_presorted(PresortContext& ctx,
   // The split feature's segment is sorted, so the left side is its sorted
   // prefix.  Start from the sweep's cut position but fix up by threshold:
   // the midpoint of two adjacent doubles can round up onto the right
-  // neighbour, and predict-time routing (as well as the legacy partition)
-  // sends value == threshold left.
+  // neighbour, and predict-time routing sends value == threshold left.
   std::size_t mid = begin + best.left_count;
   {
     const double* bvals = ctx.values.data() + best.feature * ctx.n;
@@ -231,10 +229,10 @@ std::int32_t DecisionTree::build_presorted(PresortContext& ctx,
   return node_id;
 }
 
-std::int32_t DecisionTree::build(const Dataset& data,
-                                 std::vector<std::size_t>& rows,
-                                 std::size_t begin, std::size_t end,
-                                 std::size_t depth, Rng& rng) {
+std::int32_t DecisionTree::build_random(const Dataset& data,
+                                        std::vector<std::size_t>& rows,
+                                        std::size_t begin, std::size_t end,
+                                        std::size_t depth, Rng& rng) {
   const std::size_t n = end - begin;
   STAC_REQUIRE(n > 0);
 
@@ -249,89 +247,40 @@ std::int32_t DecisionTree::build(const Dataset& data,
   const bool pure = all.sse() <= 1e-12;
   if (!depth_ok || pure || n < config_.min_samples_split) return node_id;
 
-  // Candidate features by mode.
-  std::vector<std::size_t> candidates;
-  switch (config_.split_mode) {
-    case SplitMode::kAllFeatures:
-      candidates.resize(feature_count_);
-      std::iota(candidates.begin(), candidates.end(), 0);
-      break;
-    case SplitMode::kSqrtFeatures: {
-      const auto k = std::max<std::size_t>(
-          1, static_cast<std::size_t>(
-                 std::sqrt(static_cast<double>(feature_count_))));
-      candidates = rng.sample_indices(feature_count_, k);
-      break;
-    }
-    case SplitMode::kCompletelyRandom:
-      // Try a handful of random features until one is splittable.
-      candidates = rng.sample_indices(
-          feature_count_, std::min<std::size_t>(feature_count_, 8));
-      break;
-  }
-
+  // Try a handful of random features until one is splittable; random
+  // threshold between the observed min and max.
+  const std::vector<std::size_t> candidates = rng.sample_indices(
+      feature_count_, std::min<std::size_t>(feature_count_, 8));
   SplitCandidate best;
-  if (config_.split_mode == SplitMode::kCompletelyRandom) {
-    // Random feature, random threshold between observed min and max.
-    for (std::size_t f : candidates) {
-      const auto col = data.column(f);  // stride-1 scans
-      double lo = std::numeric_limits<double>::infinity();
-      double hi = -std::numeric_limits<double>::infinity();
-      for (std::size_t i = begin; i < end; ++i) {
-        const double v = col[rows[i]];
-        lo = std::min(lo, v);
-        hi = std::max(hi, v);
-      }
-      if (hi <= lo) continue;  // constant feature here
-      const double thr = rng.uniform(lo, hi);
-      // Both sides' moments in a single pass over the rows (gain is
-      // bookkeeping only, not used for selection).
-      Moments left, right;
-      for (std::size_t i = begin; i < end; ++i) {
-        (col[rows[i]] <= thr ? left : right).add(data.target(rows[i]));
-      }
-      if (left.n == 0 || left.n == n) continue;
-      best.found = true;
-      best.feature = static_cast<std::uint32_t>(f);
-      best.threshold = thr;
-      best.gain = all.sse() - left.sse() - right.sse();
-      break;
+  for (std::size_t f : candidates) {
+    const auto col = data.column(f);  // stride-1 scans
+    double lo = std::numeric_limits<double>::infinity();
+    double hi = -std::numeric_limits<double>::infinity();
+    for (std::size_t i = begin; i < end; ++i) {
+      const double v = col[rows[i]];
+      lo = std::min(lo, v);
+      hi = std::max(hi, v);
     }
-  } else {
-    // Exhaustive threshold search per candidate feature (sorted sweep).
-    std::vector<std::pair<double, double>> fv(n);  // (feature value, target)
-    for (std::size_t f : candidates) {
-      for (std::size_t i = begin; i < end; ++i) {
-        fv[i - begin] = {data.row(rows[i])[f], data.target(rows[i])};
-      }
-      std::sort(fv.begin(), fv.end());
-      if (fv.front().first == fv.back().first) continue;
-      Moments left;
-      Moments right = all;
-      for (std::size_t i = 0; i + 1 < n; ++i) {
-        left.add(fv[i].second);
-        right.sum -= fv[i].second;
-        right.sum2 -= fv[i].second * fv[i].second;
-        --right.n;
-        if (fv[i].first == fv[i + 1].first) continue;  // no cut between ties
-        if (left.n < config_.min_samples_leaf ||
-            right.n < config_.min_samples_leaf)
-          continue;
-        const double gain = all.sse() - left.sse() - right.sse();
-        if (!best.found || gain > best.gain) {
-          best.found = true;
-          best.feature = static_cast<std::uint32_t>(f);
-          best.threshold = 0.5 * (fv[i].first + fv[i + 1].first);
-          best.gain = gain;
-        }
-      }
+    if (hi <= lo) continue;  // constant feature here
+    const double thr = rng.uniform(lo, hi);
+    // Both sides' moments in a single pass over the rows (gain is
+    // bookkeeping only, not used for selection).
+    Moments left, right;
+    for (std::size_t i = begin; i < end; ++i) {
+      (col[rows[i]] <= thr ? left : right).add(data.target(rows[i]));
     }
+    if (left.n == 0 || left.n == n) continue;
+    best.found = true;
+    best.feature = static_cast<std::uint32_t>(f);
+    best.threshold = thr;
+    best.gain = all.sse() - left.sse() - right.sse();
+    break;
   }
 
   if (!best.found || best.gain <= 0.0) return node_id;
 
-  // Partition rows in place around the threshold.  Stable, so child row
-  // order (and thus FP accumulation order) matches the presorted path.
+  // Partition rows in place around the threshold (stable, so child row
+  // order — and thus FP accumulation order — is deterministic).
   const auto split_col = data.column(best.feature);
   const auto mid = static_cast<std::size_t>(
       std::stable_partition(rows.begin() + static_cast<std::ptrdiff_t>(begin),
@@ -345,8 +294,10 @@ std::int32_t DecisionTree::build(const Dataset& data,
   nodes_[static_cast<std::size_t>(node_id)].feature = best.feature;
   nodes_[static_cast<std::size_t>(node_id)].threshold = best.threshold;
   nodes_[static_cast<std::size_t>(node_id)].gain = best.gain;
-  const std::int32_t left = build(data, rows, begin, mid, depth + 1, rng);
-  const std::int32_t right = build(data, rows, mid, end, depth + 1, rng);
+  const std::int32_t left =
+      build_random(data, rows, begin, mid, depth + 1, rng);
+  const std::int32_t right =
+      build_random(data, rows, mid, end, depth + 1, rng);
   nodes_[static_cast<std::size_t>(node_id)].left = left;
   nodes_[static_cast<std::size_t>(node_id)].right = right;
   return node_id;

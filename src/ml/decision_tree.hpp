@@ -3,6 +3,11 @@
 // candidate features by impurity; "completely random" trees pick both the
 // feature and the cut point at random and grow until leaves are pure —
 // exactly the two tree types gcForest mixes for ensemble diversity.
+//
+// The exhaustive modes (kAllFeatures, kSqrtFeatures) sort each feature once
+// per fit and keep the per-feature order through in-place stable
+// partitions, so every node's split search is an O(n) sweep over
+// already-sorted values.  kCompletelyRandom never sorts.
 #pragma once
 
 #include <cstdint>
@@ -27,13 +32,6 @@ struct TreeConfig {
   std::size_t min_samples_leaf = 1;
   std::size_t min_samples_split = 2;
   std::uint64_t seed = 1;
-  /// Exhaustive split modes: sort each feature once per fit and keep the
-  /// per-feature order through in-place stable partitions (O(F·n) sweeps
-  /// per level) instead of re-sorting every candidate at every node
-  /// (O(F·n log n)).  false falls back to the per-node-sort path (kept as
-  /// the benchmark baseline).  Ignored by kCompletelyRandom, which never
-  /// sorts.
-  bool presort = true;
 };
 
 class DecisionTree {
@@ -70,9 +68,10 @@ class DecisionTree {
   [[nodiscard]] const std::vector<Node>& nodes() const { return nodes_; }
 
  private:
-  std::int32_t build(const Dataset& data, std::vector<std::size_t>& rows,
-                     std::size_t begin, std::size_t end, std::size_t depth,
-                     Rng& rng);
+  /// kCompletelyRandom build over rows[begin, end).
+  std::int32_t build_random(const Dataset& data,
+                            std::vector<std::size_t>& rows, std::size_t begin,
+                            std::size_t end, std::size_t depth, Rng& rng);
 
   /// Presorted-feature-index build state (see decision_tree.cpp).
   struct PresortContext;

@@ -6,17 +6,13 @@
 
 namespace stac::ml {
 
-void FlatForest::clear() {
+void FlatForest::compile(std::span<const DecisionTree> trees) {
   feature_.clear();
   threshold_.clear();
   left_.clear();
   right_.clear();
   value_.clear();
   roots_.clear();
-}
-
-void FlatForest::compile(std::span<const DecisionTree> trees) {
-  clear();
   std::size_t total = 0;
   for (const auto& t : trees) {
     STAC_REQUIRE_MSG(t.trained(), "FlatForest::compile on an untrained tree");

@@ -9,12 +9,13 @@
 // one pass over the batch per tree depth level) instead of finishing one
 // sample's walk before starting the next.
 //
-// Identity contract, same as every prior fast path (DESIGN.md §8): the
-// flat walk routes with the identical `x[feature] <= threshold` comparison
-// on the identical fitted nodes and accumulates tree outputs in the
-// identical order, so predictions are bitwise-equal to the pointer walk.
-// RandomForest gates it behind ForestConfig::flatten with the AoS walk as
-// the always-available fallback.
+// Identity contract (DESIGN.md §15): the flat walk routes with the same
+// `x[feature] <= threshold` comparison on the same fitted nodes and sums
+// tree outputs in tree order, so predictions are bitwise-equal to
+// averaging DecisionTree::predict over the trees in order
+// (tests/ml/random_forest_test.cpp builds banks of directly fitted trees
+// and checks exactly that).  RandomForest answers every predict() from its
+// compiled FlatForest.
 #pragma once
 
 #include <cstdint>
@@ -33,8 +34,6 @@ class FlatForest {
   /// previous compilation).  Child indices are rebased into the arena; each
   /// tree's root is its first appended node.
   void compile(std::span<const DecisionTree> trees);
-
-  void clear();
 
   [[nodiscard]] bool compiled() const { return !roots_.empty(); }
   [[nodiscard]] std::size_t tree_count() const { return roots_.size(); }

@@ -47,7 +47,7 @@ void RandomForest::fit(const Dataset& data) {
   }
 
   trained_rows_ = n;
-  compile_flat();
+  flat_.compile(trees_);
   compute_oob(data);
 }
 
@@ -103,18 +103,11 @@ void RandomForest::refit_incremental(const Dataset& data,
   }
 
   trained_rows_ = n;
-  compile_flat();
+  flat_.compile(trees_);
   // Full OOB recompute: untouched trees keep their old bags, so every
   // appended row is out-of-bag for them and contributes honestly.
   compute_oob(data);
   obs::count("ml.forest_warm_refits");
-}
-
-void RandomForest::compile_flat() {
-  if (config_.flatten)
-    flat_.compile(trees_);
-  else
-    flat_.clear();
 }
 
 void RandomForest::compute_oob(const Dataset& data) {
@@ -141,20 +134,13 @@ void RandomForest::compute_oob(const Dataset& data) {
 
 double RandomForest::predict(std::span<const double> x) const {
   STAC_REQUIRE_MSG(trained(), "predict before fit");
-  if (flat_.compiled()) return flat_.predict(x);
-  double sum = 0.0;
-  for (const auto& t : trees_) sum += t.predict(x);
-  return sum / static_cast<double>(trees_.size());
+  return flat_.predict(x);
 }
 
 std::vector<double> RandomForest::predict(const Matrix& x) const {
   STAC_REQUIRE_MSG(trained(), "predict before fit");
   std::vector<double> out(x.rows(), 0.0);
-  if (flat_.compiled()) {
-    flat_.predict_batch(x, out);
-    return out;
-  }
-  for (std::size_t r = 0; r < x.rows(); ++r) out[r] = predict(x.row(r));
+  flat_.predict_batch(x, out);
   return out;
 }
 

@@ -10,8 +10,9 @@
 //     appended rows are out-of-bag for them and the OOB estimates stay
 //     honest).  ~1/retrain_fraction cheaper than a full fit; accuracy
 //     parity is a tested contract, not an identity.
-//   - flattened SoA inference (FlatForest), gated by ForestConfig::flatten
-//     and bitwise-identical to the pointer walk.
+//   - flattened SoA inference: fit() and refit_incremental() compile the
+//     trees into a FlatForest, and predict() answers from it.  The trees
+//     themselves stay for OOB estimates, refits and feature importance.
 #pragma once
 
 #include <cstdint>
@@ -31,9 +32,6 @@ struct ForestConfig {
   double bootstrap_fraction = 1.0;
   std::uint64_t seed = 1;
   bool parallel = true;
-  /// Compile fitted trees into a FlatForest and answer predict() from the
-  /// SoA arena (bitwise-identical; false = AoS pointer walk baseline).
-  bool flatten = true;
 };
 
 class RandomForest {
@@ -66,7 +64,6 @@ class RandomForest {
   [[nodiscard]] std::vector<double> feature_importance() const;
 
  private:
-  void compile_flat();
   void compute_oob(const Dataset& data);
 
   ForestConfig config_;

@@ -210,34 +210,9 @@ TEST(CacheHierarchyReplay, IdenticalOnSpecializedGeometry) {
   expect_replay_identical(cfg);
 }
 
-// small_hw way widths miss the specialized tuple: generic replay body over
-// SoA levels.
+// small_hw way widths miss the specialized tuple: generic replay body.
 TEST(CacheHierarchyReplay, IdenticalOnGenericSoaGeometry) {
   expect_replay_identical(small_hw());
-}
-
-// Legacy array-of-Way layout everywhere: generic replay body over the
-// reference access path.
-TEST(CacheHierarchyReplay, IdenticalOnLegacyLayout) {
-  HierarchyConfig cfg = small_hw();
-  cfg.l1d.soa = cfg.l1i.soa = cfg.l2.soa = cfg.llc.soa = false;
-  expect_replay_identical(cfg);
-}
-
-// SoA and legacy layouts must agree with each other end to end as well.
-TEST(CacheHierarchyReplay, SoaAndLegacyReplaysAgree) {
-  HierarchyConfig legacy = small_hw();
-  legacy.l1d.soa = legacy.l1i.soa = legacy.l2.soa = legacy.llc.soa = false;
-  const RecordedTrace t = adversarial_trace(60000, 0xBEEFull);
-  CacheHierarchy a(small_hw(), 3);
-  CacheHierarchy b(legacy, 3);
-  const std::uint64_t ta = a.replay(t.refs.data(), t.classes.data(),
-                                    t.refs.size());
-  const std::uint64_t tb = b.replay(t.refs.data(), t.classes.data(),
-                                    t.refs.size());
-  EXPECT_EQ(ta, tb);
-  for (ClassId c = 0; c < 3; ++c)
-    EXPECT_EQ(a.counters(c).values, b.counters(c).values);
 }
 
 TEST(CacheHierarchyReplay, EmptyTraceReturnsZero) {

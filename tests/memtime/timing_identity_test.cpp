@@ -150,12 +150,6 @@ TEST(TimingIdentity, ClosedFormOnGenericSoaLayout) {
   expect_closed_form(flat_hw());
 }
 
-TEST(TimingIdentity, ClosedFormOnLegacyLayout) {
-  HierarchyConfig cfg = flat_hw();
-  cfg.l1d.soa = cfg.l1i.soa = cfg.l2.soa = cfg.llc.soa = false;
-  expect_closed_form(cfg);
-}
-
 TEST(TimingIdentity, PerAccessLoopMatchesClosedFormToo) {
   const HierarchyConfig cfg = flat_hw();
   const RecordedTrace t = adversarial_trace(20000, 0xABCDull);

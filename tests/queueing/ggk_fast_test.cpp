@@ -1,8 +1,10 @@
-// Fast-engine (pre-drawn CRN streams + 4-ary lazy-deletion heap) vs the
-// legacy single-heap engine: the two must process the identical event
-// sequence and produce bit-identical results on every field, including
-// under heavy boost churn (stale-generation completions after class
-// switch/revert must be dropped, never applied) and under chaos.
+// Invariants of the G/G/k event engine (pre-drawn CRN streams + 4-ary
+// lazy-deletion heap): determinism across common-random-number replays and
+// chaos runs, clean teardown books under heavy boost churn (stale-generation
+// completions after class switch/revert must be dropped, never applied),
+// and a bounded stream cache.  The exact output bits are pinned by
+// tests/golden/golden_digest_test.cpp over these same configs; the mean
+// queueing delay is checked against closed forms in ggk_oracle_test.cpp.
 #include "queueing/ggk_simulator.hpp"
 
 #include <gtest/gtest.h>
@@ -13,42 +15,56 @@
 namespace stac::queueing {
 namespace {
 
-void expect_bit_identical(const GGkResult& legacy, const GGkResult& fast,
+void expect_bit_identical(const GGkResult& a, const GGkResult& b,
                           const std::string& label) {
   SCOPED_TRACE(label);
-  ASSERT_EQ(legacy.completed, fast.completed);
-  EXPECT_EQ(legacy.boosted_queries, fast.boosted_queries);
-  EXPECT_EQ(legacy.cos_switches, fast.cos_switches);
-  EXPECT_EQ(legacy.residual_boost_refs, fast.residual_boost_refs);
-  EXPECT_EQ(legacy.residual_overdue_jobs, fast.residual_overdue_jobs);
-  EXPECT_EQ(legacy.negative_sojourns, fast.negative_sojourns);
-  EXPECT_EQ(legacy.latency_injections, fast.latency_injections);
+  ASSERT_EQ(a.completed, b.completed);
+  EXPECT_EQ(a.boosted_queries, b.boosted_queries);
+  EXPECT_EQ(a.cos_switches, b.cos_switches);
+  EXPECT_EQ(a.residual_boost_refs, b.residual_boost_refs);
+  EXPECT_EQ(a.residual_overdue_jobs, b.residual_overdue_jobs);
+  EXPECT_EQ(a.negative_sojourns, b.negative_sojourns);
+  EXPECT_EQ(a.latency_injections, b.latency_injections);
   // Bitwise equality of every retained sample, in completion order.
-  const auto ls = legacy.response_times.samples();
-  const auto fs = fast.response_times.samples();
-  ASSERT_EQ(ls.size(), fs.size());
-  for (std::size_t i = 0; i < ls.size(); ++i)
-    ASSERT_EQ(ls[i], fs[i]) << "response sample " << i << " diverges";
-  const auto lq = legacy.queue_delays.samples();
-  const auto fq = fast.queue_delays.samples();
-  ASSERT_EQ(lq.size(), fq.size());
-  for (std::size_t i = 0; i < lq.size(); ++i)
-    ASSERT_EQ(lq[i], fq[i]) << "queue-delay sample " << i << " diverges";
-  EXPECT_EQ(legacy.mean_queue_delay, fast.mean_queue_delay);
+  const auto as = a.response_times.samples();
+  const auto bs = b.response_times.samples();
+  ASSERT_EQ(as.size(), bs.size());
+  for (std::size_t i = 0; i < as.size(); ++i)
+    ASSERT_EQ(as[i], bs[i]) << "response sample " << i << " diverges";
+  const auto aq = a.queue_delays.samples();
+  const auto bq = b.queue_delays.samples();
+  ASSERT_EQ(aq.size(), bq.size());
+  for (std::size_t i = 0; i < aq.size(); ++i)
+    ASSERT_EQ(aq[i], bq[i]) << "queue-delay sample " << i << " diverges";
+  EXPECT_EQ(a.mean_queue_delay, b.mean_queue_delay);
 }
 
-std::pair<GGkResult, GGkResult> run_both(GGkConfig c) {
-  c.fast_events = false;
-  const GGkResult legacy = simulate_ggk(c);
-  c.fast_events = true;
-  const GGkResult fast = simulate_ggk(c);
-  return {legacy, fast};
+/// Teardown books: every counted completion has a non-negative sojourn, the
+/// run reached its target, and (class-level boosting) the boost refcount
+/// left over equals the overdue jobs still outstanding.
+void expect_clean_books(const GGkConfig& c, const GGkResult& r) {
+  EXPECT_EQ(r.completed, c.queries - c.warmup);
+  EXPECT_EQ(r.negative_sojourns, 0u);
+  if (c.class_level_boost)
+    EXPECT_EQ(r.residual_boost_refs, r.residual_overdue_jobs);
+  else
+    EXPECT_EQ(r.residual_boost_refs, 0u);
+}
+
+/// A run on a freshly regenerated CRN stream and a replay of the cached
+/// stream.
+std::pair<GGkResult, GGkResult> run_cold_then_warm(const GGkConfig& c) {
+  clear_crn_stream_cache();
+  const GGkResult cold = simulate_ggk(c);
+  const GGkResult warm = simulate_ggk(c);
+  return {cold, warm};
 }
 
 TEST(GGkFastEngine, BitIdenticalUnderAdversarialSweep) {
   // Heavy tail, near-saturation, both boost semantics, aggressive and lazy
   // timeouts, multiple seeds: the corners where event ordering, lazy
-  // deletion and tie-breaking could plausibly diverge.
+  // deletion and tie-breaking could plausibly go wrong.  A replay of the
+  // cached stream must reproduce the regenerating run bit for bit.
   for (const double cv : {0.3, 1.0, 2.5}) {
     for (const double util : {0.5, 0.95}) {
       for (const bool class_level : {true, false}) {
@@ -66,13 +82,15 @@ TEST(GGkFastEngine, BitIdenticalUnderAdversarialSweep) {
             c.queries = 6000;
             c.warmup = 300;
             c.seed = seed;
-            const auto [legacy, fast] = run_both(c);
-            expect_bit_identical(
-                legacy, fast,
+            const std::string label =
                 "cv=" + std::to_string(cv) + " util=" + std::to_string(util) +
-                    " class=" + std::to_string(class_level) +
-                    " timeout=" + std::to_string(timeout) +
-                    " seed=" + std::to_string(seed));
+                " class=" + std::to_string(class_level) +
+                " timeout=" + std::to_string(timeout) +
+                " seed=" + std::to_string(seed);
+            const auto [cold, warm] = run_cold_then_warm(c);
+            expect_bit_identical(cold, warm, label);
+            SCOPED_TRACE(label);
+            expect_clean_books(c, cold);
           }
         }
       }
@@ -84,8 +102,8 @@ TEST(GGkFastEngine, StaleGenerationsDroppedAcrossBoostChurn) {
   // An aggressive timeout at heavy load produces many class switch/revert
   // cycles; every switch reschedules all serving jobs and strands the
   // previously queued completions as stale generations.  If any stale event
-  // were applied, completion times (and hence the bitwise comparison or the
-  // teardown invariants) would diverge.
+  // were applied, completion times (pinned by GoldenDigest.GGkBoostChurn)
+  // or the teardown books would be off.
   GGkConfig c;
   c.utilization = 0.93;
   c.servers = 2;
@@ -96,23 +114,22 @@ TEST(GGkFastEngine, StaleGenerationsDroppedAcrossBoostChurn) {
   c.queries = 20000;
   c.warmup = 500;
   c.seed = 31;
-  const auto [legacy, fast] = run_both(c);
+  const GGkResult r = simulate_ggk(c);
   // Churn actually happened (both directions of the class switch).
-  EXPECT_GT(fast.cos_switches, 10u);
-  EXPECT_GT(fast.boosted_queries, 0u);
-  expect_bit_identical(legacy, fast, "boost churn");
-  EXPECT_EQ(fast.residual_boost_refs, fast.residual_overdue_jobs);
+  EXPECT_GT(r.cos_switches, 10u);
+  EXPECT_GT(r.boosted_queries, 0u);
+  expect_clean_books(c, r);
 }
 
 TEST(GGkFastEngine, BitIdenticalUnderServiceChaos) {
+  // The fault schedule is a pure function of (plan seed, arrival ordinal):
+  // two armed runs of one plan inject the same spikes into the same jobs.
   FaultPlan plan;
   plan.seed = 4321;
   plan.add({.point = "ggk.service",
             .action = FaultAction::kLatency,
             .probability = 0.1,
             .latency = 5.0});
-  FaultScope scope(plan);
-
   GGkConfig c;
   c.utilization = 0.9;
   c.servers = 2;
@@ -123,9 +140,15 @@ TEST(GGkFastEngine, BitIdenticalUnderServiceChaos) {
   c.queries = 10000;
   c.warmup = 500;
   c.seed = 3;
-  const auto [legacy, fast] = run_both(c);
-  EXPECT_GT(fast.latency_injections, 0u);
-  expect_bit_identical(legacy, fast, "service chaos");
+  auto armed_run = [&] {
+    FaultScope scope(plan);
+    return simulate_ggk(c);
+  };
+  const GGkResult first = armed_run();
+  const GGkResult second = armed_run();
+  EXPECT_GT(first.latency_injections, 0u);
+  expect_bit_identical(first, second, "service chaos");
+  expect_clean_books(c, first);
 }
 
 TEST(GGkFastEngine, CrnStreamCacheReusesAcrossTimeoutGrid) {
@@ -166,8 +189,39 @@ TEST(GGkFastEngine, CrnStreamCacheReusesAcrossTimeoutGrid) {
   expect_bit_identical(cold, warm, "cold vs warm replay");
 }
 
-TEST(GGkFastEngine, FastPathIsTheDefault) {
-  EXPECT_TRUE(GGkConfig{}.fast_events);
+TEST(CrnStreamCache, CapacityKnobBoundsGrowth) {
+  const std::size_t restore = crn_stream_cache_capacity();
+  clear_crn_stream_cache();
+  set_crn_stream_cache_capacity(4);
+  EXPECT_EQ(crn_stream_cache_capacity(), 4u);
+
+  // Drifting conditions: every simulation keys a fresh (seed) stream.  The
+  // cache must flush at capacity instead of growing for the process
+  // lifetime, and the size gauge must track the live entry count.
+  GGkConfig c;
+  c.utilization = 0.6;
+  c.queries = 400;
+  c.warmup = 40;
+  for (std::uint64_t seed = 0; seed < 64; ++seed) {
+    c.seed = 1000 + seed;
+    (void)simulate_ggk(c);
+    EXPECT_LE(crn_stream_cache_size(), 4u);
+  }
+  EXPECT_EQ(
+      static_cast<std::size_t>(obs::MetricsRegistry::global()
+                                   .gauge("ggk.crn_stream_cache.size")
+                                   .value()),
+      crn_stream_cache_size());
+
+  // Shrinking below the live count flushes immediately; zero clamps to 1.
+  set_crn_stream_cache_capacity(0);
+  EXPECT_EQ(crn_stream_cache_capacity(), 1u);
+  c.seed = 9999;
+  (void)simulate_ggk(c);
+  EXPECT_EQ(crn_stream_cache_size(), 1u);
+
+  set_crn_stream_cache_capacity(restore);
+  clear_crn_stream_cache();
 }
 
 }  // namespace
