@@ -25,7 +25,6 @@
 #include "cachesim/simd_probe.hpp"
 #include "fleet/fleet_coordinator.hpp"
 #include "obs/trace.hpp"
-#include "serve/online_controller.hpp"
 
 using namespace stac;
 using namespace stac::bench;

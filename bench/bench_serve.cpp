@@ -25,15 +25,12 @@
 //   overload          — 5x offered load against a small ring with admission
 //                       control and a plan deadline budget, gated on plan
 //                       p99 within the budget (shed fraction recorded; the
-//                       admission gauges land in obs_metrics);
-//   fleet_identity    — PR-8 acceptance gate: a 1-shard FleetCoordinator and
-//                       a standalone OnlineController replay the same
-//                       traffic and must make bit-identical timeout
-//                       selections every epoch.
+//                       admission gauges land in obs_metrics).
+//
+// Every closed-loop section serves through a one-node FleetCoordinator.
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <span>
@@ -45,7 +42,6 @@
 #include "fleet/fleet_coordinator.hpp"
 #include "obs/trace.hpp"
 #include "serve/checkpoint.hpp"
-#include "serve/online_controller.hpp"
 #include "serve/refit_executor.hpp"
 #include "serve/traffic_replay.hpp"
 
@@ -82,22 +78,23 @@ profiler::RuntimeCondition serve_condition() {
   return c;
 }
 
-serve::ControllerConfig controller_config(const core::StacOptions& opts) {
-  serve::ControllerConfig cfg;
-  cfg.base_condition = serve_condition();
-  cfg.explorer = opts.explorer;
-  cfg.estimator.min_completions = 10;
+/// A fleet of one node.
+fleet::FleetConfig fleet_config(const core::StacOptions& opts) {
+  fleet::FleetConfig cfg;
+  cfg.shard.estimator.min_completions = 10;
+  cfg.planner.base_condition = serve_condition();
+  cfg.planner.explorer = opts.explorer;
   // The EWMA estimate's noise straddles a quantization boundary, so the
   // planned condition flips between adjacent cells indefinitely; the memo
   // pool keeps each recurring cell's matrices warm, but every *distinct*
   // cell still pays one cold sweep.  A coarser quantum keeps that recurring
   // set small (here {lo,hi}^2 + the descent cells ≈ 5, within the pool's
   // default capacity), so the whole transient lands in the warmup window.
-  cfg.util_quantum = 0.1;
+  cfg.planner.util_quantum = 0.1;
   // Health-check cadence: one staleness probe per 5 epochs (10 s of sim
   // time).  On the 4 reuse epochs the plan path runs no EA inference at
   // all — that, plus the memo-answered sweep, is the sub-10ms epoch.
-  cfg.probe_ttl_epochs = 5;
+  cfg.planner.probe_ttl_epochs = 5;
   return cfg;
 }
 
@@ -173,10 +170,9 @@ serve::RefitExecutorConfig refit_executor_config(
 JsonObject bench_control_epoch(const BenchArgs& args,
                                const core::StacManager& mgr,
                                const core::StacOptions& opts) {
-  serve::ArrivalIngest ring(1 << 16);
   serve::ModelSnapshot<serve::ServingModel> models(
       serve::build_serving_model(mgr, opts, 1));
-  serve::OnlineController controller(ring, models, controller_config(opts));
+  fleet::FleetCoordinator fleet(models, fleet_config(opts));
 
   // The refit pipeline: the executor owns the library + master models and
   // publishes refreshed bundles from its own thread.  Two refits are
@@ -193,7 +189,8 @@ JsonObject bench_control_epoch(const BenchArgs& args,
   traffic.workloads = {{.mean_service = 0.05, .servers = 2, .base_util = 0.6},
                        {.mean_service = 0.05, .servers = 2, .base_util = 0.6}};
   traffic.seed = args.seed;
-  serve::TrafficReplay replay(ring, &controller, traffic);
+  serve::TrafficReplay replay(fleet.shard(0).ingest(), &fleet.shard(0),
+                              traffic);
 
   // The first epochs are the transient — estimator warming, memo cold (a
   // full grid sweep each time the quantized condition moves).  Once the
@@ -232,7 +229,7 @@ JsonObject bench_control_epoch(const BenchArgs& args,
     const double t1 = static_cast<double>(k + 1) * interval;
     (void)replay.generate(static_cast<double>(k) * interval, t1);
     Stopwatch epoch_clock;
-    const serve::EpochReport r = controller.run_epoch(t1);
+    const fleet::FleetEpochReport r = fleet.run_epoch(t1);
     epoch_seconds.push_back(epoch_clock.seconds());
     if (std::getenv("STAC_BENCH_EPOCH_DEBUG") != nullptr) {
       std::printf("    [epoch %3zu] plan %.3f ms sim %zu reuse %zu "
@@ -244,7 +241,7 @@ JsonObject bench_control_epoch(const BenchArgs& args,
     // Classify BEFORE the off-path executor interaction below: an epoch is
     // refit-bearing when it observed a published swap (the planner re-probes
     // and the memo re-sweeps under the new model version that same epoch).
-    const std::uint64_t swaps_now = controller.totals().model_swaps_observed;
+    const std::uint64_t swaps_now = fleet.totals().model_swaps_observed;
     const bool swap_epoch = swaps_now != swaps_seen;
     swaps_seen = swaps_now;
     const bool refit_bearing =
@@ -296,7 +293,7 @@ JsonObject bench_control_epoch(const BenchArgs& args,
   out.set("warmup_epochs", warmup);
   out.set("replans", static_cast<std::size_t>(replans));
   out.set("events_drained",
-          static_cast<std::size_t>(controller.totals().events_drained));
+          static_cast<std::size_t>(fleet.totals().events_drained));
   out.set("warmup_plan_p50_seconds", warm.percentile_or(0.5, 0.0));
   out.set("plan_p50_seconds", plan.percentile_or(0.5, 0.0));
   out.set("plan_p99_seconds", plan_p99);
@@ -454,17 +451,18 @@ JsonObject bench_refit(const BenchArgs& args, const core::StacManager& mgr,
 /// Section 3: hot-swapping models under live load loses nothing.
 JsonObject bench_hot_swap(const BenchArgs& args, const core::StacManager& mgr,
                           const core::StacOptions& opts) {
-  serve::ArrivalIngest ring(1 << 16);
   serve::ModelSnapshot<serve::ServingModel> models(
       serve::build_serving_model(mgr, opts, 1));
-  serve::OnlineController controller(ring, models, controller_config(opts));
+  fleet::FleetCoordinator fleet(models, fleet_config(opts));
+  const serve::ArrivalIngest& ring = fleet.shard(0).ingest();
 
   serve::ReplayConfig traffic;
   traffic.workloads = {{.mean_service = 0.05, .servers = 2, .base_util = 0.6},
                        {.mean_service = 0.05, .servers = 2, .base_util = 0.6}};
   traffic.shards_per_workload = 2;
   traffic.seed = args.seed + 1;
-  serve::TrafficReplay replay(ring, &controller, traffic);
+  serve::TrafficReplay replay(fleet.shard(0).ingest(), &fleet.shard(0),
+                              traffic);
 
   const std::size_t swaps = args.fast ? 3 : 6;
   std::vector<std::unique_ptr<const serve::ServingModel>> bundles;
@@ -479,18 +477,19 @@ JsonObject bench_hot_swap(const BenchArgs& args, const core::StacManager& mgr,
     }
   });
   const serve::SoakResult result = replay.run_threaded(
-      controller, /*sim_seconds=*/40.0, /*epoch_interval=*/2.0,
-      /*wall_pace=*/80.0);
+      [&fleet](double now) { return fleet.run_epoch(now).replanned; },
+      /*sim_seconds=*/40.0, /*epoch_interval=*/2.0, /*wall_pace=*/80.0);
   swapper.join();
 
+  const auto& totals = fleet.totals();
   const bool zero_lost = result.traffic.push_failures == 0 &&
                          result.ingest_dropped == 0 &&
                          ring.popped() == ring.pushed() &&
-                         result.controller.events_drained == ring.pushed();
+                         totals.events_drained == ring.pushed();
   JsonObject out;
   out.set("swaps_published", swaps);
   out.set("swaps_observed",
-          static_cast<std::size_t>(result.controller.model_swaps_observed));
+          static_cast<std::size_t>(totals.model_swaps_observed));
   out.set("events", static_cast<std::size_t>(ring.pushed()));
   out.set("events_dropped", static_cast<std::size_t>(result.ingest_dropped));
   out.set("push_failures",
@@ -500,14 +499,13 @@ JsonObject bench_hot_swap(const BenchArgs& args, const core::StacManager& mgr,
   std::printf("  hot swap: %zu published, %llu observed, %llu events, "
               "zero_lost=%s\n",
               swaps,
-              static_cast<unsigned long long>(
-                  result.controller.model_swaps_observed),
+              static_cast<unsigned long long>(totals.model_swaps_observed),
               static_cast<unsigned long long>(ring.pushed()),
               zero_lost ? "true" : "false");
   return out;
 }
 
-/// Section 4: how fast a crashed controller is whole again.
+/// Section 4: how fast a crashed coordinator is whole again.
 JsonObject bench_recovery_time(const BenchArgs& args,
                                const core::StacManager& mgr,
                                const core::StacOptions& opts) {
@@ -517,20 +515,20 @@ JsonObject bench_recovery_time(const BenchArgs& args,
   std::filesystem::create_directories(dir);
   const std::string path = serve::checkpoint_path(dir);
 
-  // Warm a controller on stationary traffic so the checkpoint has real
+  // Warm a coordinator on stationary traffic so the checkpoint has real
   // EWMAs and a planned vector in it.
-  serve::ControllerConfig cfg = controller_config(opts);
+  fleet::FleetConfig cfg = fleet_config(opts);
   cfg.checkpoint.directory = dir;
   cfg.checkpoint.every_n_epochs = 0;  // explicit checkpoint_now below
-  serve::ArrivalIngest ring(1 << 16);
   serve::ModelSnapshot<serve::ServingModel> models(
       serve::build_serving_model(mgr, opts, 1));
-  serve::OnlineController warm(ring, models, cfg);
+  fleet::FleetCoordinator warm(models, cfg);
   serve::ReplayConfig traffic;
   traffic.workloads = {{.mean_service = 0.05, .servers = 2, .base_util = 0.6},
                        {.mean_service = 0.05, .servers = 2, .base_util = 0.6}};
   traffic.seed = args.seed + 2;
-  serve::TrafficReplay replay(ring, &warm, traffic);
+  serve::TrafficReplay replay(warm.shard(0).ingest(), &warm.shard(0),
+                              traffic);
   const std::size_t warm_epochs = args.fast ? 10 : 25;
   const double interval = 2.0;
   for (std::size_t k = 0; k < warm_epochs; ++k) {
@@ -557,19 +555,22 @@ JsonObject bench_recovery_time(const BenchArgs& args,
     load_s.push_back(w.seconds());
   }
 
-  // "Restart": a fresh controller with no model recovers and keeps serving
+  // "Restart": a fresh coordinator with no model recovers and keeps serving
   // until the refit bundle (published immediately here) lets it replan.
   serve::ModelSnapshot<serve::ServingModel> models2;
-  serve::OnlineController restarted(ring, models2, cfg);
+  fleet::FleetCoordinator restarted(models2, cfg);
   Stopwatch recover_clock;
   const bool recover_restored =
       restarted.recover(*loaded.checkpoint, t_crash).restored;
   const double recover_s = recover_clock.seconds();
   const bool vector_matches =
-      recover_restored && restarted.timeout(0) == warm.timeout(0) &&
-      restarted.timeout(1) == warm.timeout(1);
+      recover_restored &&
+      restarted.shard(0).timeout(0) == warm.shard(0).timeout(0) &&
+      restarted.shard(0).timeout(1) == warm.shard(0).timeout(1);
 
-  replay.rebind_controller(&restarted);
+  // Fresh proxies replay traffic into the restarted node from the crash on.
+  serve::TrafficReplay replay2(restarted.shard(0).ingest(),
+                               &restarted.shard(0), traffic);
   // The post-restart bundle comes from the RefitExecutor, not an inline
   // build: recovery returns in microseconds and serves the checkpointed
   // vector (model-unavailable holds) while the fit runs on the executor's
@@ -587,8 +588,8 @@ JsonObject bench_recovery_time(const BenchArgs& args,
   std::uint64_t epochs_to_replan = 0;
   for (std::size_t k = 0; k < 5 && epochs_to_replan == 0; ++k) {
     const double t0 = t_crash + static_cast<double>(k) * interval;
-    (void)replay.generate(t0, t0 + interval);
-    const serve::EpochReport r = restarted.run_epoch(t0 + interval);
+    (void)replay2.generate(t0, t0 + interval);
+    const fleet::FleetEpochReport r = restarted.run_epoch(t0 + interval);
     if (r.replanned) epochs_to_replan = k + 1;
   }
 
@@ -633,20 +634,21 @@ JsonObject bench_overload(const BenchArgs& args, const core::StacManager& mgr,
   // sweep is fast in absolute terms.
   double calib_median = 0.05;
   {
-    serve::ArrivalIngest calib_ring(1 << 13);
-    serve::OnlineController calib(calib_ring, models,
-                                  controller_config(opts));
+    fleet::FleetConfig calib_cfg = fleet_config(opts);
+    calib_cfg.shard.ring_capacity = 1 << 13;
+    fleet::FleetCoordinator calib(models, calib_cfg);
     serve::ReplayConfig nominal;
     nominal.workloads = {
         {.mean_service = 0.05, .servers = 2, .base_util = 0.6},
         {.mean_service = 0.05, .servers = 2, .base_util = 0.6}};
     nominal.seed = args.seed + 7;
-    serve::TrafficReplay warm(calib_ring, &calib, nominal);
+    serve::TrafficReplay warm(calib.shard(0).ingest(), &calib.shard(0),
+                              nominal);
     std::vector<double> samples;
     for (std::size_t k = 0; k < 5; ++k) {
       (void)warm.generate(static_cast<double>(k) * interval,
                           static_cast<double>(k + 1) * interval);
-      const serve::EpochReport r =
+      const fleet::FleetEpochReport r =
           calib.run_epoch(static_cast<double>(k + 1) * interval);
       if (r.replanned) samples.push_back(r.plan_seconds);
     }
@@ -655,13 +657,13 @@ JsonObject bench_overload(const BenchArgs& args, const core::StacManager& mgr,
   }
   const double deadline = std::max(0.1, 3.0 * calib_median);
 
-  serve::ArrivalIngest ring(512);  // small on purpose: occupancy must bite
-  serve::AdmissionController admission(ring, 2);
-
-  serve::ControllerConfig cfg = controller_config(opts);
-  cfg.plan_deadline_seconds = deadline;
-  cfg.admission = &admission;
-  serve::OnlineController controller(ring, models, cfg);
+  fleet::FleetConfig cfg = fleet_config(opts);
+  cfg.shard.ring_capacity = 512;  // small on purpose: occupancy must bite
+  cfg.shard.admission_enabled = true;
+  cfg.planner.plan_deadline_seconds = deadline;
+  fleet::FleetCoordinator fleet(models, cfg);
+  const serve::ArrivalIngest& ring = fleet.shard(0).ingest();
+  const serve::AdmissionController& admission = *fleet.shard(0).admission();
 
   serve::ReplayConfig traffic;
   // 5x capacity offered on both services.
@@ -669,8 +671,9 @@ JsonObject bench_overload(const BenchArgs& args, const core::StacManager& mgr,
                        {.mean_service = 0.05, .servers = 2, .base_util = 3.0}};
   traffic.shards_per_workload = 2;
   traffic.seed = args.seed + 3;
-  traffic.admission = &admission;
-  serve::TrafficReplay replay(ring, &controller, traffic);
+  traffic.admission = fleet.shard(0).admission();
+  serve::TrafficReplay replay(fleet.shard(0).ingest(), &fleet.shard(0),
+                              traffic);
 
   // The first epochs are a transient: shedding ramps up while the sweep
   // warms the quantized-utilization cells it will keep landing in.  The
@@ -688,7 +691,7 @@ JsonObject bench_overload(const BenchArgs& args, const core::StacManager& mgr,
         replay.generate(static_cast<double>(k) * interval, t1);
     offered_stats.arrivals += st.arrivals;
     offered_stats.shed += st.shed;
-    const serve::EpochReport r = controller.run_epoch(t1);
+    const fleet::FleetEpochReport r = fleet.run_epoch(t1);
     (k < warmup ? warmup_seconds : plan_seconds).push_back(r.plan_seconds);
   }
 
@@ -711,8 +714,8 @@ JsonObject bench_overload(const BenchArgs& args, const core::StacManager& mgr,
   out.set("deadline_seconds", deadline);
   out.set("plan_p99_seconds", plan_p99);
   out.set("deadline_misses",
-          static_cast<std::size_t>(controller.totals().deadline_misses));
-  out.set("replans", static_cast<std::size_t>(controller.totals().replans));
+          static_cast<std::size_t>(fleet.totals().deadline_misses));
+  out.set("replans", static_cast<std::size_t>(fleet.totals().replans));
   out.set("plan_p99_within_deadline", plan_p99 <= deadline);
   out.set("shedding_engaged", shed_fraction > 0.01);
   std::printf("  overload: 5x offered, shed %.1f%%, steady plan p99 %.1f ms "
@@ -720,88 +723,8 @@ JsonObject bench_overload(const BenchArgs& args, const core::StacManager& mgr,
               "%llu ring drops\n",
               shed_fraction * 100.0, plan_p99 * 1e3, deadline * 1e3,
               warmup_max * 1e3,
-              static_cast<unsigned long long>(
-                  controller.totals().deadline_misses),
+              static_cast<unsigned long long>(fleet.totals().deadline_misses),
               static_cast<unsigned long long>(ring.dropped()));
-  return out;
-}
-
-/// Section 6: the fleet-of-one identity gate.  A 1-shard FleetCoordinator
-/// configured like the standalone controller, both replaying the same
-/// seeded traffic, must apply bit-identical timeout vectors every epoch —
-/// the refactor that shares EpochPlanner between the two is only correct
-/// if the fleet layer adds exactly nothing at N=1.
-JsonObject bench_fleet_identity(const BenchArgs& args,
-                                const core::StacManager& mgr,
-                                const core::StacOptions& opts) {
-  const serve::ControllerConfig solo_cfg = controller_config(opts);
-  serve::ArrivalIngest ring(1 << 16);
-  serve::ModelSnapshot<serve::ServingModel> solo_models(
-      serve::build_serving_model(mgr, opts, 1));
-  serve::OnlineController solo(ring, solo_models, solo_cfg);
-
-  fleet::FleetConfig fleet_cfg;
-  fleet_cfg.shards = 1;
-  fleet_cfg.shard.servers = solo_cfg.servers;
-  fleet_cfg.shard.drain_batch = solo_cfg.drain_batch;
-  fleet_cfg.shard.estimator = solo_cfg.estimator;
-  fleet_cfg.planner.base_condition = solo_cfg.base_condition;
-  fleet_cfg.planner.explorer = solo_cfg.explorer;
-  fleet_cfg.planner.util_quantum = solo_cfg.util_quantum;
-  fleet_cfg.planner.util_lo = solo_cfg.util_lo;
-  fleet_cfg.planner.util_hi = solo_cfg.util_hi;
-  fleet_cfg.planner.probe_ttl_epochs = solo_cfg.probe_ttl_epochs;
-  fleet_cfg.planner.incremental = solo_cfg.incremental;
-  fleet_cfg.planner.memo_conditions = solo_cfg.memo_conditions;
-  serve::ModelSnapshot<serve::ServingModel> fleet_models(
-      serve::build_serving_model(mgr, opts, 1));
-  fleet::FleetCoordinator fleet(fleet_models, fleet_cfg);
-
-  serve::ReplayConfig traffic;
-  traffic.workloads = {{.mean_service = 0.05, .servers = 2, .base_util = 0.6},
-                       {.mean_service = 0.05, .servers = 2, .base_util = 0.6}};
-  traffic.seed = args.seed + 11;
-  serve::TrafficReplay solo_replay(ring, &solo, traffic);
-  serve::TrafficReplay fleet_replay(fleet.shard(0).ingest(), &fleet.shard(0),
-                                    traffic);
-
-  const auto bits_equal = [](double a, double b) {
-    return std::memcmp(&a, &b, sizeof(double)) == 0;
-  };
-  const std::size_t epochs = args.fast ? 20 : 60;
-  const double interval = 2.0;
-  std::size_t identical_epochs = 0;
-  std::uint64_t replans = 0;
-  for (std::size_t k = 0; k < epochs; ++k) {
-    const double t0 = static_cast<double>(k) * interval;
-    (void)solo_replay.generate(t0, t0 + interval);
-    (void)fleet_replay.generate(t0, t0 + interval);
-    const serve::EpochReport a = solo.run_epoch(t0 + interval);
-    const fleet::FleetEpochReport b = fleet.run_epoch(t0 + interval);
-    const bool same =
-        a.replanned == b.replanned && a.warm == b.warm &&
-        a.cells_simulated == b.cells_simulated &&
-        a.cells_reused == b.cells_reused &&
-        bits_equal(solo.timeout(0), fleet.shard(0).timeout(0)) &&
-        bits_equal(solo.timeout(1), fleet.shard(0).timeout(1));
-    if (same) ++identical_epochs;
-    if (a.replanned) ++replans;
-  }
-
-  const bool identity = identical_epochs == epochs && replans > 0 &&
-                        solo.totals().replans == fleet.totals().replans;
-  JsonObject out;
-  out.set("epochs", epochs);
-  out.set("identical_epochs", identical_epochs);
-  out.set("replans", static_cast<std::size_t>(replans));
-  out.set("events",
-          static_cast<std::size_t>(fleet.totals().events_drained));
-  out.set("fleet_identity_gate", identity);
-  std::printf("  fleet identity: %zu/%zu epochs bit-identical over %llu "
-              "replans, gate=%s\n",
-              identical_epochs, epochs,
-              static_cast<unsigned long long>(replans),
-              identity ? "true" : "false");
   return out;
 }
 
@@ -850,9 +773,6 @@ int main(int argc, char** argv) {
 
   std::printf("overload with admission control\n");
   record.set("overload", bench_overload(args, mgr, opts));
-
-  std::printf("fleet-of-one identity\n");
-  record.set("fleet_identity", bench_fleet_identity(args, mgr, opts));
 
   write_bench_section(args.json_path, "bench_serve", record);
   return 0;

@@ -30,7 +30,6 @@
 
 #include "cat/cat_controller.hpp"
 #include "fleet/fleet_coordinator.hpp"
-#include "serve/online_controller.hpp"
 
 using namespace stac;
 

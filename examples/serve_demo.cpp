@@ -2,11 +2,12 @@
 //
 //   1. Calibrate a StacManager offline (trimmed budgets, as quickstart).
 //   2. Publish its model as the first ServingModel bundle.
-//   3. Start the serving runtime: shard producer threads replay a
-//      time-varying query stream into the lock-free ingest ring while the
-//      OnlineController drains it, re-estimates conditions, and re-plans
-//      the timeout vector every control epoch — steering the very traffic
-//      the next epoch observes (boosted queries finish faster).
+//   3. Start the serving runtime, a fleet of one node: producer threads
+//      replay a time-varying query stream into the node's lock-free ingest
+//      ring while the FleetCoordinator drains it, re-estimates conditions,
+//      and re-plans the timeout vector every control epoch — steering the
+//      very traffic the next epoch observes (boosted queries finish
+//      faster).
 //   4. Mid-run, a background thread refits a new bundle and hot-swaps it
 //      in; admission never stalls.
 //
@@ -17,12 +18,13 @@
 //   watchdog force-revokes) — the CI serve-soak gate greps its last line.
 // Chaos mode:   ./build/examples/serve_demo --soak 20 --kill-after 8 --recover
 //   arms an injected crash of the control thread at epoch 8, then
-//   "restarts" the controller: a fresh OnlineController loads the last
-//   checkpoint, serves the recovered last-known-good vector immediately
-//   (before any model exists in the new process), and must re-plan within
-//   3 epochs once the refit bundle publishes.  The proxies and the ingest
-//   ring survive the crash, exactly like a controller-process restart on a
-//   live host.  The CI chaos gate greps the `recovery ok:` line.
+//   "restarts" the process: a fresh coordinator loads the last checkpoint,
+//   serves the recovered last-known-good vector immediately (before any
+//   model exists in the new process), and must re-plan within 3 epochs
+//   once the refit bundle publishes.  Fresh proxies replay traffic into
+//   the new node's ring from the crash time on; the events the dead ring
+//   still held when it died are reported as `stranded`.  The CI chaos gate
+//   greps the `recovery ok:` line.
 // Knobs:        --checkpoint-dir DIR   durable state location
 //               --admission            shed load in front of the ring
 //               --deadline SECONDS     planning budget per epoch
@@ -36,8 +38,8 @@
 
 #include "cat/cat_controller.hpp"
 #include "common/fault_injection.hpp"
+#include "fleet/fleet_coordinator.hpp"
 #include "serve/checkpoint.hpp"
-#include "serve/online_controller.hpp"
 #include "serve/traffic_replay.hpp"
 
 using namespace stac;
@@ -106,8 +108,8 @@ int main(int argc, char** argv) {
             << (mgr.primary_model_degraded() ? "DEGRADED" : "trained")
             << "\n\n";
 
-  // The serving stack: ingest ring, model snapshot, CAT mirror, controller.
-  serve::ArrivalIngest ingest(1 << 16);
+  // The serving stack: model snapshot, CAT mirror, and a one-node fleet
+  // (the node owns the ingest ring and, with --admission, the shedder).
   serve::ModelSnapshot<serve::ServingModel> models(
       serve::build_serving_model(mgr, opts, 1));
 
@@ -122,39 +124,47 @@ int main(int argc, char** argv) {
   resilience.max_boost_lease = 30.0;  // generous: clean runs never trip it
   cat::CatController cat(hw, plan, resilience);
 
-  serve::AdmissionController admission(ingest, 2);
-
-  serve::ControllerConfig cfg;
-  cfg.base_condition.primary = wl::Benchmark::kKmeans;
-  cfg.base_condition.collocated = wl::Benchmark::kRedis;
-  cfg.base_condition.util_primary = 0.6;
-  cfg.base_condition.util_collocated = 0.6;
-  cfg.base_condition.timeout_primary = 1.0;
-  cfg.base_condition.timeout_collocated = 1.0;
-  cfg.base_condition.seed = 99;
-  cfg.explorer = opts.explorer;
-  cfg.estimator.min_completions = 10;
-  cfg.plan_deadline_seconds = plan_deadline;
+  fleet::FleetConfig cfg;
+  cfg.shard.servers = 2;
+  cfg.shard.estimator.min_completions = 10;
+  cfg.shard.admission_enabled = admission_on;
+  cfg.planner.base_condition.primary = wl::Benchmark::kKmeans;
+  cfg.planner.base_condition.collocated = wl::Benchmark::kRedis;
+  cfg.planner.base_condition.util_primary = 0.6;
+  cfg.planner.base_condition.util_collocated = 0.6;
+  cfg.planner.base_condition.timeout_primary = 1.0;
+  cfg.planner.base_condition.timeout_collocated = 1.0;
+  cfg.planner.base_condition.seed = 99;
+  cfg.planner.explorer = opts.explorer;
+  cfg.planner.plan_deadline_seconds = plan_deadline;
+  cfg.cats = {&cat};
   if (!checkpoint_dir.empty()) {
     cfg.checkpoint.directory = checkpoint_dir;
     cfg.checkpoint.every_n_epochs = 2;
     cfg.checkpoint.library_ref = "stac_manager:kmeans+redis";
     cfg.checkpoint.library_size = mgr.library().size();
   }
-  if (admission_on) cfg.admission = &admission;
-  serve::OnlineController controller(ingest, models, cfg, &cat);
+  fleet::FleetCoordinator coordinator(models, cfg);
 
-  // Traffic: both services breathe (sinusoidal load) so the controller has
+  // Traffic: both services breathe (sinusoidal load) so the loop has
   // something to chase; boosted queries really do finish faster.
-  serve::ReplayConfig traffic;
-  traffic.workloads = {
-      {.mean_service = 0.05, .service_cv = 0.8, .servers = 2,
-       .base_util = 0.60, .util_amplitude = 0.15, .util_period = 60.0},
-      {.mean_service = 0.05, .service_cv = 0.8, .servers = 2,
-       .base_util = 0.55, .util_amplitude = 0.10, .util_period = 45.0}};
-  traffic.shards_per_workload = 2;
-  if (admission_on) traffic.admission = &admission;
-  serve::TrafficReplay replay(ingest, &controller, traffic);
+  const auto traffic_for = [](fleet::NodeShard& node) {
+    serve::ReplayConfig traffic;
+    traffic.workloads = {
+        {.mean_service = 0.05, .service_cv = 0.8, .servers = 2,
+         .base_util = 0.60, .util_amplitude = 0.15, .util_period = 60.0},
+        {.mean_service = 0.05, .service_cv = 0.8, .servers = 2,
+         .base_util = 0.55, .util_amplitude = 0.10, .util_period = 45.0}};
+    traffic.shards_per_workload = 2;
+    traffic.admission = node.admission();
+    return traffic;
+  };
+  const auto epoch_of = [](fleet::FleetCoordinator& c) {
+    return [&c](double now) { return c.run_epoch(now).replanned; };
+  };
+  serve::TrafficReplay replay(coordinator.shard(0).ingest(),
+                              &coordinator.shard(0),
+                              traffic_for(coordinator.shard(0)));
 
   const bool soak = soak_wall_seconds > 0.0;
   const double sim_seconds = soak ? std::max(40.0, 8.0 * soak_wall_seconds)
@@ -163,7 +173,7 @@ int main(int argc, char** argv) {
   const double wall_pace = soak ? sim_seconds / soak_wall_seconds : 0.0;
 
   // Background recalibration: refit a fresh bundle mid-run and hot-swap it
-  // while producers and the controller keep running.
+  // while producers and the control loop keep running.
   std::thread recalibrator([&] {
     auto next = serve::build_serving_model(mgr, opts, 2);
     models.publish(std::move(next));
@@ -176,12 +186,12 @@ int main(int argc, char** argv) {
   if (kill_after > 0) {
     FaultPlan fplan;
     fplan.seed = 7;
-    fplan.add({.point = "serve.controller.epoch",
+    fplan.add({.point = "fleet.coordinator.epoch",
                .action = FaultAction::kThrow,
                .every_nth = 1,
                .from_hit = kill_after,
                .until_hit = kill_after + 1,
-               .message = "injected controller crash"});
+               .message = "injected coordinator crash"});
     chaos.emplace(std::move(fplan));
   }
 
@@ -193,8 +203,8 @@ int main(int argc, char** argv) {
   double crash_sim_time = 0.0;
   serve::SoakResult result;
   try {
-    result = replay.run_threaded(controller, sim_seconds, epoch_interval,
-                                 wall_pace);
+    result = replay.run_threaded(epoch_of(coordinator), sim_seconds,
+                                 epoch_interval, wall_pace);
   } catch (const InjectedFault& e) {
     crashed = true;
     crash_sim_time =
@@ -203,7 +213,7 @@ int main(int argc, char** argv) {
               << " (sim t=" << crash_sim_time << "): " << e.what() << "\n";
   }
   recalibrator.join();
-  chaos.reset();  // disarm: the restarted controller runs fault-free
+  chaos.reset();  // disarm: the restarted coordinator runs fault-free
 
   if (crashed && !recover) {
     std::cout << "crashed (no --recover): exiting dirty\n";
@@ -211,7 +221,11 @@ int main(int argc, char** argv) {
   }
 
   if (crashed) {
-    // ---- Restart: a brand-new controller attaches to the surviving ring.
+    // Events the dead node's ring still held: produced, never drained.
+    const serve::ArrivalIngest& dead_ring = coordinator.shard(0).ingest();
+    const std::uint64_t stranded = dead_ring.pushed() - dead_ring.popped();
+
+    // ---- Restart: a brand-new coordinator with its own ring and proxies.
     const serve::CheckpointLoadReport loaded =
         serve::load_checkpoint(serve::checkpoint_path(checkpoint_dir));
     const std::uint64_t corrupt_checkpoints = loaded.quarantined ? 1 : 0;
@@ -227,17 +241,17 @@ int main(int argc, char** argv) {
     // The new process has no model yet: serving starts from the recovered
     // last-known-good vector while the refit happens behind it.
     serve::ModelSnapshot<serve::ServingModel> models2;
-    serve::OnlineController controller2(ingest, models2, cfg, &cat);
+    fleet::FleetCoordinator coordinator2(models2, cfg);
     const serve::RecoveryReport rec =
-        controller2.recover(*loaded.checkpoint, crash_sim_time);
+        coordinator2.recover(*loaded.checkpoint, crash_sim_time);
     if (!rec.restored) {
       std::cout << "  [recovery] checkpoint quarantined: " << rec.reason
                 << "\n";
     }
-    replay.rebind_controller(&controller2);
-    std::cout << "  [recovery] serving recovered vector ("
-              << controller2.timeout(0) << ", " << controller2.timeout(1)
-              << ") while the model refits\n";
+    fleet::NodeShard& node2 = coordinator2.shard(0);
+    std::cout << "  [recovery] serving recovered vector (" << node2.timeout(0)
+              << ", " << node2.timeout(1) << ") while the model refits\n";
+    serve::TrafficReplay replay2(node2.ingest(), &node2, traffic_for(node2));
 
     // Refit now (restart-time model load), publish after roughly one epoch
     // so the bounded-staleness window is actually exercised.
@@ -250,11 +264,12 @@ int main(int argc, char** argv) {
     });
 
     const double remaining = sim_seconds - crash_sim_time;
-    const serve::SoakResult after = replay.run_threaded(
-        controller2, remaining, epoch_interval, wall_pace, crash_sim_time);
+    const serve::SoakResult after =
+        replay2.run_threaded(epoch_of(coordinator2), remaining,
+                             epoch_interval, wall_pace, crash_sim_time);
     publisher.join();
 
-    const auto& totals2 = controller2.totals();
+    const auto& totals2 = coordinator2.totals();
     std::cout << "\nrecovery summary\n"
               << "  epochs after restart:  " << after.epochs << "\n"
               << "  held (no model):       " << totals2.model_unavailable_holds
@@ -264,8 +279,9 @@ int main(int argc, char** argv) {
               << "  checkpoints written:   " << totals2.checkpoints_written
               << "\n"
               << "  recoveries:            " << totals2.recoveries << "\n"
-              << "  applied timeouts:      (" << controller2.timeout(0) << ", "
-              << controller2.timeout(1) << ")\n";
+              << "  stranded in dead ring: " << stranded << "\n"
+              << "  applied timeouts:      (" << node2.timeout(0) << ", "
+              << node2.timeout(1) << ")\n";
 
     // Machine-parseable verdict (the CI chaos step greps this line):
     // recovered_in counts post-restart epochs until the first replan.
@@ -273,19 +289,20 @@ int main(int argc, char** argv) {
     const bool ok = recovered_in >= 1 && recovered_in <= 3 &&
                     corrupt_checkpoints == 0 && totals2.recoveries == 1 &&
                     after.traffic.push_failures == 0 &&
-                    after.watchdog_revocations == 0;
+                    totals2.watchdog_revocations == 0;
     std::cout << "\n"
               << (ok ? "recovery ok" : "recovery FAILED")
               << ": recovered_in=" << recovered_in
               << " corrupt_checkpoints=" << corrupt_checkpoints
               << " push_failures=" << after.traffic.push_failures
-              << " watchdog_revocations=" << after.watchdog_revocations
+              << " watchdog_revocations=" << totals2.watchdog_revocations
               << " replans_after=" << totals2.replans
-              << " epochs_after=" << after.epochs << "\n";
+              << " epochs_after=" << after.epochs << " stranded=" << stranded
+              << "\n";
     return ok ? 0 : 1;
   }
 
-  const auto& totals = result.controller;
+  const auto& totals = coordinator.totals();
   std::cout << "\nrun summary\n"
             << "  epochs:              " << result.epochs << "\n"
             << "  events drained:      " << totals.events_drained << "\n"
@@ -300,8 +317,8 @@ int main(int argc, char** argv) {
             << "  shed (admission):    " << result.traffic.shed << "\n"
             << "  watchdog revokes:    " << totals.watchdog_revocations << "\n"
             << "  COS switches:        " << cat.switch_count() << "\n"
-            << "  applied timeouts:    (" << controller.timeout(0) << ", "
-            << controller.timeout(1) << ")\n";
+            << "  applied timeouts:    (" << coordinator.shard(0).timeout(0)
+            << ", " << coordinator.shard(0).timeout(1) << ")\n";
   {
     const auto guard = models.acquire();
     const auto cache = guard->pred().cache_stats();

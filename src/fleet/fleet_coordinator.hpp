@@ -7,15 +7,21 @@
 //      (core::merge_moments — count-weighted Welford, total arrival rate
 //      against total active capacity);
 //   3. ONE memoized/incremental §5.2 sweep runs on the merged condition
-//      (serve::EpochPlanner — the identical planning core the standalone
-//      OnlineController uses, which is what makes a fleet of one
-//      bit-identical to a single controller);
+//      (serve::EpochPlanner);
 //   4. the selection is published as a versioned FleetPlan through the
 //      ModelSnapshot RCU machinery (nodes can pull asynchronously via
 //      NodeShard::refresh_plan; the coordinator also applies it to every
 //      active shard before returning) — after asserting the plan is
 //      finite, so a NaN can never reach a published plan;
-//   5. per-node epilogue: admission feedback and the CAT grant watchdog.
+//   5. per-node epilogue: admission feedback and the CAT grant watchdog;
+//   6. durable state at the configured checkpoint cadence.
+//
+// A single node is a fleet of one: the same loop, one shard.
+//
+// Crash recovery: a freshly built coordinator recover()s from the last
+// checkpoint — every shard's last-known-good vector and estimator state
+// come back before any model is published, and the epoch counter and
+// totals continue where the dead coordinator left them.
 //
 // Join/leave is zero-loss by construction: leave_shard drains the ring a
 // final time (every produced event reaches the estimator), checkpoints the
@@ -40,6 +46,7 @@
 #include "core/profile_library.hpp"
 #include "fleet/fleet_plan.hpp"
 #include "fleet/node_shard.hpp"
+#include "serve/checkpoint.hpp"
 #include "serve/epoch_planner.hpp"
 #include "serve/model_snapshot.hpp"
 #include "serve/refit_executor.hpp"
@@ -51,20 +58,18 @@ struct FleetConfig {
   /// Number of node shards built up front (shards join/leave within this
   /// set; capacity is not resized at runtime).
   std::size_t shards = 1;
-  /// Per-node template (ring, estimator, admission, servers).
+  /// Per-node template (ring, estimator, admission, servers).  The fleet
+  /// plans once the pooled window holds shard.estimator.min_completions
+  /// completions per workload.
   NodeShardConfig shard;
   /// The shared planning core's knobs.  base_condition also supplies every
-  /// shard's initial timeout vector.
+  /// shard's initial timeout vector; plan_deadline_seconds is also the
+  /// denominator of the per-node admission lag (0 = no lag signal).
   serve::PlannerConfig planner;
-  /// Pooled completions per workload below which the fleet does not plan.
-  /// 0 = inherit shard.estimator.min_completions (the N=1 identity choice:
-  /// the fleet-of-one warms exactly when the standalone controller does).
-  std::size_t min_completions = 0;
   /// Per-node CAT domains (not owned): empty = none, else one per shard.
   std::vector<cat::CatController*> cats;
-  /// Plan-lag denominator for per-node admission feedback (mirrors
-  /// ControllerConfig::plan_deadline_seconds; 0 = no lag signal).
-  double plan_deadline_seconds = 0.0;
+  /// Crash-safe durable state (empty directory = disabled).
+  serve::CheckpointConfig checkpoint;
   /// Background refit pipeline (not owned; must outlive the coordinator).
   /// When set, merge_library routes merged deltas through the executor —
   /// merge→warm-refit→publish happens off the coordinator thread and no
@@ -98,6 +103,7 @@ struct FleetEpochReport {
   double timeout_primary = 0.0;
   double timeout_collocated = 0.0;
   std::size_t watchdog_revocations = 0;
+  bool checkpoint_written = false;
 };
 
 class FleetCoordinator {
@@ -116,8 +122,35 @@ class FleetCoordinator {
 
   /// One coordinator epoch at runtime-clock `now`.  Call from one thread
   /// only (shard producers publish into the rings concurrently; everything
-  /// else here is coordinator-owned).
+  /// else here is coordinator-owned).  A "fleet.coordinator.epoch" fault
+  /// fires before the epoch counter moves, so a recovered coordinator
+  /// re-runs the tick rather than skipping it.
   FleetEpochReport run_epoch(double now);
+
+  /// Snapshot the fleet's durable state as of runtime clock `now`: the
+  /// coordinator's counters plus two workload records per shard, in shard
+  /// order.
+  [[nodiscard]] serve::ControllerCheckpoint make_checkpoint(double now) const;
+
+  /// Write a checkpoint immediately (independent of the epoch cadence).
+  /// Throws on I/O failure or an injected "serve.checkpoint.write" fault —
+  /// the epoch path swallows and counts the failure instead.
+  void checkpoint_now(double now);
+
+  /// Restore a freshly built coordinator from a checkpoint: every shard's
+  /// last-known-good vector goes live immediately (before any model is
+  /// published), its estimator EWMAs and lifetime counters come back, its
+  /// surviving boost grants are force-released, and it is active.  The
+  /// epoch counter and the replan/hold totals continue from the checkpoint;
+  /// the reported vector is shard 0's.  The model bundle is NOT restored —
+  /// epochs hold the recovered vector until a refit publishes one.
+  ///
+  /// Every record is validated before any state changes: a wrong record
+  /// count (not two per shard) or a non-finite/negative timeout
+  /// quarantines the checkpoint, counted in Totals::recovery_quarantines,
+  /// and leaves the coordinator exactly as it was.
+  [[nodiscard]] serve::RecoveryReport recover(
+      const serve::ControllerCheckpoint& checkpoint, double now);
 
   /// The published-plan channel (nodes pull with NodeShard::refresh_plan).
   [[nodiscard]] serve::ModelSnapshot<FleetPlan>& plans() { return plans_; }
@@ -159,14 +192,18 @@ class FleetCoordinator {
     std::uint64_t library_profiles_merged = 0;
     std::uint64_t refit_requests = 0;  ///< merges routed to the RefitExecutor
     std::uint64_t watchdog_revocations = 0;
+    std::uint64_t checkpoints_written = 0;
+    std::uint64_t checkpoint_failures = 0;
+    std::uint64_t recoveries = 0;
+    std::uint64_t recovery_quarantines = 0;
   };
   [[nodiscard]] const Totals& totals() const { return totals_; }
 
  private:
-  [[nodiscard]] std::size_t pooled_min_completions() const {
-    return config_.min_completions != 0 ? config_.min_completions
-                                        : config_.shard.estimator.min_completions;
-  }
+  /// A checkpoint with the coordinator-level fields filled in and no
+  /// workload records yet.
+  [[nodiscard]] serve::ControllerCheckpoint checkpoint_header(
+      double now) const;
 
   serve::ModelSnapshot<serve::ServingModel>& models_;
   FleetConfig config_;

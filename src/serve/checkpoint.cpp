@@ -1,5 +1,6 @@
 #include "serve/checkpoint.hpp"
 
+#include <cmath>
 #include <iomanip>
 #include <limits>
 #include <sstream>
@@ -106,6 +107,21 @@ ControllerCheckpoint parse(const std::string& body) {
 
 }  // namespace
 
+std::string checkpoint_defect(const ControllerCheckpoint& checkpoint,
+                              std::size_t workloads) {
+  if (checkpoint.workloads.size() != workloads)
+    return "checkpoint describes " +
+           std::to_string(checkpoint.workloads.size()) +
+           " workload records; live state holds " + std::to_string(workloads);
+  for (std::size_t w = 0; w < workloads; ++w) {
+    const double t = checkpoint.workloads[w].timeout;
+    if (!std::isfinite(t) || t < 0.0)
+      return "workload record " + std::to_string(w) +
+             " timeout is not finite and non-negative";
+  }
+  return {};
+}
+
 std::string checkpoint_path(const std::string& directory) {
   STAC_REQUIRE(!directory.empty());
   return directory.back() == '/' ? directory + "controller.ckpt"
@@ -146,11 +162,11 @@ CheckpointLoadReport load_checkpoint(const std::string& path) {
     obs::count("serve.checkpoint.quarantined");
     return report;
   }
+  // The trailer is exactly the marker, the body's checksum and a newline:
+  // bytes after it are damage too, not padding to skip.
   const std::string body = text.substr(0, tail);
-  std::istringstream trailer(text.substr(tail + tail_marker.size()));
-  std::string hex;
-  trailer >> hex;
-  if (hex != checksum_hex(body)) {
+  if (text.compare(tail, std::string::npos,
+                   tail_marker + checksum_hex(body) + '\n') != 0) {
     report.quarantined = true;
     report.reason = "checksum mismatch (corrupt checkpoint)";
     obs::count("serve.checkpoint.quarantined");

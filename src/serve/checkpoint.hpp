@@ -1,12 +1,14 @@
-// Crash-safe controller state: versioned, checksummed checkpoints.
+// Crash-safe control-loop state: versioned, checksummed checkpoints.
 //
-// The online controller's hard-won state — the last-known-good timeout
-// vector, the estimator's EWMA trackers, the epoch counter, the CRN seeds
-// the planning sweep keys its memoization on, and a reference to the
+// The control loop's hard-won state — the last-known-good timeout vector,
+// the estimators' EWMA trackers, the epoch counter, the CRN seeds the
+// planning sweep keys its memoization on, and a reference to the
 // profile-library snapshot the serving model was built from — all lives in
-// process memory.  A SIGKILL mid-epoch loses it, and a restarted controller
-// that re-plans from a cold estimator steers traffic with garbage for the
-// whole warmup window.  A ControllerCheckpoint makes that state durable:
+// process memory.  A SIGKILL mid-epoch loses it, and a restarted
+// coordinator that re-plans from cold estimators steers traffic with
+// garbage for the whole warmup window.  A ControllerCheckpoint makes that
+// state durable (a fleet writes two workload records per shard, in shard
+// order):
 //
 //   * format: line-oriented text (like profile files), one `stac-ckpt vN`
 //     header, fields at max_digits10 so doubles round-trip bit-exactly, and
@@ -28,6 +30,8 @@
 #include <string>
 #include <vector>
 
+#include "serve/condition_estimator.hpp"
+
 namespace stac::serve {
 
 /// Current checkpoint format version.
@@ -38,17 +42,8 @@ inline constexpr int kCheckpointVersion = 1;
 /// Window contents are deliberately NOT persisted — they refill from live
 /// traffic within one epoch, while the EWMAs carry the "instantaneous"
 /// signal across the restart.
-struct WorkloadCheckpoint {
+struct WorkloadCheckpoint : ConditionEstimator::WorkloadEstimatorState {
   double timeout = 1.0;
-  double ewma_queue_delay = 0.0;
-  double ewma_queue_time = 0.0;
-  bool ewma_queue_seeded = false;
-  double ewma_service = 0.0;
-  double ewma_service_time = 0.0;
-  bool ewma_service_seeded = false;
-  std::uint64_t arrivals = 0;   ///< lifetime event counts (continuity only)
-  std::uint64_t completions = 0;
-  std::uint64_t timeouts = 0;
 };
 
 struct ControllerCheckpoint {
@@ -66,6 +61,37 @@ struct ControllerCheckpoint {
   std::uint64_t deadline_misses = 0;
   std::vector<WorkloadCheckpoint> workloads;
 };
+
+/// Durable-state knobs.  An empty directory disables checkpointing.
+struct CheckpointConfig {
+  std::string directory;
+  /// Write cadence in epochs (a write also happens via checkpoint_now()).
+  std::uint64_t every_n_epochs = 4;
+  /// Provenance recorded into each checkpoint: which profile-library
+  /// snapshot the serving model refits from after recovery, and the CRN
+  /// predictor seed (audit trail for the bit-identity guarantee).
+  std::string library_ref = "-";
+  std::size_t library_size = 0;
+  std::uint64_t predictor_seed = 2024;
+};
+
+/// What a restore did with a checkpoint.  Malformed durable state (wrong
+/// workload count after a config change, non-finite or negative timeout)
+/// is *quarantined* — counted, reported, no live state touched — exactly
+/// like the checkpoint loader quarantines damaged files.  Serving keeps its
+/// current vector; it never crashes on, or half-applies, stale state.
+struct RecoveryReport {
+  bool restored = false;
+  bool quarantined = false;
+  std::string reason;  ///< human-readable, set when quarantined
+};
+
+/// Why `checkpoint` cannot restore a live state of `workloads` workload
+/// records: the count differs, or a timeout is not finite and
+/// non-negative.  Empty when it can.  Restores call this before they touch
+/// anything, so a quarantine changes no state.
+[[nodiscard]] std::string checkpoint_defect(
+    const ControllerCheckpoint& checkpoint, std::size_t workloads);
 
 /// Serialize + checksum + atomically replace `path`.  Consults the
 /// "serve.checkpoint.write" fault point (kThrow aborts the write; the old

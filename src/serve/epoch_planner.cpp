@@ -53,7 +53,6 @@ PlanOutcome EpochPlanner::plan(ModelSnapshot<ServingModel>& models,
   if (!guard) {
     out.model_unavailable_hold = true;
     registry.counter("serve.model_unavailable_holds").add();
-    out.plan_seconds = now_seconds() - t0;
     return out;
   }
   out.model_version = guard->version;
@@ -94,7 +93,6 @@ PlanOutcome EpochPlanner::plan(ModelSnapshot<ServingModel>& models,
     out.stale_hold = true;
     registry.counter("serve.stale_holds").add();
     obs::instant("serve.stale_hold", "serve");
-    out.plan_seconds = now_seconds() - t0;
     return out;
   }
 
@@ -130,7 +128,6 @@ PlanOutcome EpochPlanner::plan(ModelSnapshot<ServingModel>& models,
     out.replanned = true;
     registry.counter("serve.replans").add();
   }
-  out.plan_seconds = now_seconds() - t0;
   return out;
 }
 

@@ -1,17 +1,13 @@
-// The planning core of a control epoch, factored out of OnlineController
-// so one implementation serves both control planes:
-//   * the standalone OnlineController (one node, one estimator), and
-//   * the FleetCoordinator (N shards, fleet-merged conditions, one global
-//     plan pushed to every node).
+// The planning core of a control epoch: steps 3-4 of the FleetCoordinator
+// epoch loop.
 //
-// plan() is steps 3-4 of the epoch loop: pin the current ServingModel,
-// quantize the utilization estimates onto the profiled Table-2 axis,
-// probe model staleness (TTL-memoized), and run the §5.2 policy sweep
-// (memoized/incremental) under the optional planning deadline.  It owns
-// the state those steps memo across epochs — the ExplorationMemoPool, the
-// staleness-probe memo, and the last-seen bundle version — so a caller
-// that feeds identical estimates and models gets bit-identical selections
-// regardless of which control plane it is (the N=1 fleet identity).
+// plan() pins the current ServingModel, quantizes the utilization
+// estimates onto the profiled Table-2 axis, probes model staleness
+// (TTL-memoized), and runs the §5.2 policy sweep (memoized/incremental)
+// under the optional planning deadline.  It owns the state those steps memo
+// across epochs — the ExplorationMemoPool, the staleness-probe memo, and
+// the last-seen bundle version — so a caller that feeds identical
+// estimates and models gets bit-identical selections.
 //
 // The caller owns everything around the plan: draining, estimation,
 // publishing the selected vector, admission feedback, CAT watchdog,
@@ -27,20 +23,53 @@
 
 namespace stac::serve {
 
-/// Planning knobs — the subset of ControllerConfig the sweep itself needs.
-/// Field semantics are documented on ControllerConfig; OnlineController
-/// and FleetCoordinator both build one of these from their own configs.
+/// Planning knobs.
 struct PlannerConfig {
+  /// Pairing plus the fixed condition knobs (mix, churn, sampling, seed);
+  /// utilizations are overwritten from the estimates each epoch and the
+  /// timeouts are the initial applied vector.
   profiler::RuntimeCondition base_condition;
   core::ExplorerConfig explorer;
+  /// Utilization snap grid for the planned condition (0 = raw estimate);
+  /// quantizing keeps stationary traffic on one condition — and the memo
+  /// cache hot — instead of jittering by one sample each epoch.
   double util_quantum = 0.05;
+  /// Table-2 clamp: the models were only ever trained inside this range.
   double util_lo = 0.25;
   double util_hi = 0.95;
+  /// Deepest ladder rung the loop will plan on; a probe answering below
+  /// holds the last-known-good vector (counted as a stale hold).
   core::DegradationRung max_planning_rung =
       core::DegradationRung::kNearestNeighbor;
+  /// How many consecutive epochs one staleness probe may answer for.  The
+  /// probed rung is a pure function of (condition, bundle version) — both
+  /// re-checked every epoch — so reuse is sound against drift and hot-swap;
+  /// what a longer TTL trades away is detection latency for *environmental*
+  /// model failure (the chaos-drill scenario), which only a fresh predict
+  /// can see.  1 = probe every epoch (detect within one epoch, the
+  /// conservative default); raise it to take EA inference off stationary
+  /// epochs' plan path (DESIGN.md §13) at the cost of up to TTL-1 epochs of
+  /// undetected degradation.
   std::uint64_t probe_ttl_epochs = 1;
+  /// Incremental re-planning (DESIGN.md §13): keep the previous epoch's
+  /// prediction matrices in an ExplorationMemo and re-simulate only grid
+  /// cells the memo cannot answer — on stationary traffic (same quantized
+  /// condition, same model version) an epoch's sweep touches zero cells
+  /// and planning drops to matrix reads + selection.  Selections are
+  /// bit-identical to a full sweep; the memo invalidates itself on any
+  /// condition drift or model hot-swap.  false = full sweep every epoch.
   bool incremental = true;
+  /// Distinct quantized conditions memoized at once (ExplorationMemoPool
+  /// capacity, min 1).  A utilization estimate hovering at a quantization
+  /// boundary flips the planned condition between adjacent cells
+  /// indefinitely; with a single memo every flip is a full sweep, while a
+  /// small pool keeps each recurring condition's matrices warm.
   std::size_t memo_conditions = 4;
+  /// Planning deadline budget, seconds (0 = unlimited).  A sweep that
+  /// overruns it is *discarded* — the epoch keeps the last-known-good
+  /// vector and counts a deadline miss — so a slow plan can never stretch
+  /// the control period.  Measure-then-discard, not predict-and-skip: the
+  /// next epoch always gets a fresh measurement.
   double plan_deadline_seconds = 0.0;
 };
 
@@ -57,7 +86,6 @@ struct PlanOutcome {
   profiler::RuntimeCondition planned_condition;
   core::DegradationRung probe_rung = core::DegradationRung::kPrimaryModel;
   std::uint64_t model_version = 0;
-  double plan_seconds = 0.0;
   std::size_t cells_simulated = 0;
   std::size_t cells_reused = 0;
   double timeout_primary = 0.0;

@@ -1,7 +1,6 @@
 // The one-method surface admission proxies read: the applied STAP timeout
-// vector.  Both the standalone OnlineController and a fleet NodeShard
-// implement it, so TrafficReplay (the proxy stand-in) can drive either
-// without caring which control plane is behind the atomics.
+// vector.  A fleet NodeShard implements it; TrafficReplay (the proxy
+// stand-in) reads it without depending on the fleet library.
 #pragma once
 
 #include <cstddef>

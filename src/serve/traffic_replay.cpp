@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <exception>
 #include <numbers>
 #include <thread>
 
@@ -151,22 +152,14 @@ ReplayStats TrafficReplay::generate_shard(std::size_t shard_id, double t0,
 
 ReplayStats TrafficReplay::generate(double t0, double t1) {
   ReplayStats total;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const ReplayStats st = generate_shard(s, t0, t1);
-    total.arrivals += st.arrivals;
-    total.timeouts += st.timeouts;
-    total.completions += st.completions;
-    total.push_failures += st.push_failures;
-    total.shed += st.shed;
-  }
+  for (std::size_t s = 0; s < shards_.size(); ++s)
+    total += generate_shard(s, t0, t1);
   return total;
 }
 
-SoakResult TrafficReplay::run_threaded(OnlineController& controller,
-                                       double sim_seconds,
-                                       double epoch_interval,
-                                       double wall_pace,
-                                       double start_time) {
+SoakResult TrafficReplay::run_threaded(
+    const std::function<bool(double)>& run_epoch, double sim_seconds,
+    double epoch_interval, double wall_pace, double start_time) {
   STAC_REQUIRE(sim_seconds > 0.0 && epoch_interval > 0.0);
   const auto chunks = static_cast<std::uint64_t>(
       std::ceil(sim_seconds / epoch_interval));
@@ -185,12 +178,7 @@ SoakResult TrafficReplay::run_threaded(OnlineController& controller,
         if (stop_.load(std::memory_order_acquire)) break;
         const double t0 =
             start_time + static_cast<double>(k) * epoch_interval;
-        const ReplayStats st = generate_shard(s, t0, t0 + epoch_interval);
-        acc.arrivals += st.arrivals;
-        acc.timeouts += st.timeouts;
-        acc.completions += st.completions;
-        acc.push_failures += st.push_failures;
-        acc.shed += st.shed;
+        acc += generate_shard(s, t0, t0 + epoch_interval);
         progress_[s].store(k + 1, std::memory_order_release);
         if (wall_pace > 0.0) {
           // Pace the simulated clock to the wall: chunk k+1 may start no
@@ -216,11 +204,10 @@ SoakResult TrafficReplay::run_threaded(OnlineController& controller,
       while (progress_[s].load(std::memory_order_acquire) < k + 1)
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
     try {
-      const EpochReport report = controller.run_epoch(
-          start_time + static_cast<double>(k + 1) * epoch_interval);
-      result.watchdog_revocations += report.watchdog_revocations;
+      const bool replanned =
+          run_epoch(start_time + static_cast<double>(k + 1) * epoch_interval);
       ++result.epochs;
-      if (report.replanned && result.epochs_to_first_replan == 0)
+      if (replanned && result.epochs_to_first_replan == 0)
         result.epochs_to_first_replan = result.epochs;
     } catch (...) {
       // A dead control tick (injected crash, contract violation) must not
@@ -234,15 +221,7 @@ SoakResult TrafficReplay::run_threaded(OnlineController& controller,
   for (auto& t : threads) t.join();
   if (epoch_error) std::rethrow_exception(epoch_error);
 
-  result.sim_seconds = static_cast<double>(chunks) * epoch_interval;
-  for (const ReplayStats& st : shard_stats) {
-    result.traffic.arrivals += st.arrivals;
-    result.traffic.timeouts += st.timeouts;
-    result.traffic.completions += st.completions;
-    result.traffic.push_failures += st.push_failures;
-    result.traffic.shed += st.shed;
-  }
-  result.controller = controller.totals();
+  for (const ReplayStats& st : shard_stats) result.traffic += st;
   result.ingest_dropped = ingest_.dropped();
   return result;
 }

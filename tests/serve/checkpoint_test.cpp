@@ -47,26 +47,26 @@ ControllerCheckpoint sample_checkpoint() {
   c.deadline_misses = 1;
   c.workloads.resize(2);
   // Deliberately awkward doubles: round-trip must be exact, not close.
-  c.workloads[0] = {.timeout = 0.1 + 0.2,
-                    .ewma_queue_delay = 1.0 / 3.0,
-                    .ewma_queue_time = 83.99999999999999,
-                    .ewma_queue_seeded = true,
-                    .ewma_service = 5e-324,  // denormal min
-                    .ewma_service_time = 84.0,
-                    .ewma_service_seeded = true,
-                    .arrivals = 100000,
-                    .completions = 99998,
-                    .timeouts = 250};
-  c.workloads[1] = {.timeout = 6.0,
-                    .ewma_queue_delay = 0.0,
-                    .ewma_queue_time = 0.0,
-                    .ewma_queue_seeded = false,
-                    .ewma_service = 0.048999999999999995,
-                    .ewma_service_time = 83.5,
-                    .ewma_service_seeded = true,
-                    .arrivals = 12,
-                    .completions = 10,
-                    .timeouts = 0};
+  c.workloads[0] = {{.ewma_queue_delay = 1.0 / 3.0,
+                     .ewma_queue_time = 83.99999999999999,
+                     .ewma_queue_seeded = true,
+                     .ewma_service = 5e-324,  // denormal min
+                     .ewma_service_time = 84.0,
+                     .ewma_service_seeded = true,
+                     .arrivals = 100000,
+                     .completions = 99998,
+                     .timeouts = 250},
+                    /*timeout=*/0.1 + 0.2};
+  c.workloads[1] = {{.ewma_queue_delay = 0.0,
+                     .ewma_queue_time = 0.0,
+                     .ewma_queue_seeded = false,
+                     .ewma_service = 0.048999999999999995,
+                     .ewma_service_time = 83.5,
+                     .ewma_service_seeded = true,
+                     .arrivals = 12,
+                     .completions = 10,
+                     .timeouts = 0},
+                    /*timeout=*/6.0};
   return c;
 }
 
