@@ -1,4 +1,4 @@
-// The immutable model bundle the online controller plans against.
+// The immutable model bundle the serving control loop plans against.
 //
 // One ServingModel owns everything a planning epoch dereferences — the
 // profile library snapshot, the primary and fallback EA models, and an
